@@ -369,12 +369,10 @@ def _cmd_simulate(args):
         output_points=int(run_cfg.get("output_grid_points", 2000)),
     )
 
+    # settled[i]: the error stays below threshold from sample i onwards.
     below = run.sync.error < SYNC_THRESHOLD
-    t_converged = None
-    for i in range(below.size):
-        if below[i:].all():
-            t_converged = float(run.times[i])
-            break
+    settled = np.logical_and.accumulate(below[::-1])[::-1]
+    t_converged = float(run.times[settled.argmax()]) if settled[-1] else None
     summary = {
         "final_error": run.sync.final,
         "converged": bool(run.sync.final < SYNC_THRESHOLD),

@@ -4,7 +4,8 @@ factorization.
 
 The variational equation is integrated jointly with the cycle state (an
 augmented m + m^2 system), so no interpolation of the reference orbit
-enters the multiplier error budget.  The one-period transition matrix is
+enters the multiplier error budget; several couplings kappa share one such
+integration (:func:`variational_factors`).  The one-period transition matrix is
 accumulated in segments::
 
     phi(T, 0) = A_p @ ... @ A_1,        A_i = phi(t_i, t_{i-1})
@@ -28,12 +29,13 @@ from . import linalg
 from .exceptions import ClosureDrift
 from .limit_cycle import LimitCycle
 from .models import OscillatorModel
-from .ode import IntegratorConfig, integrate
+from .ode import IntegratorConfig, _final_state, integrate
 
 __all__ = [
     "Monodromy",
     "LFDecomposition",
     "monodromy",
+    "variational_factors",
     "shifted_multipliers_fullstate",
     "ajl_determinant",
     "lf_decomposition",
@@ -86,13 +88,6 @@ class Monodromy:
     def dim(self):
         return self.matrix.shape[0]
 
-    def unity_index(self):
-        """Index of the multiplier closest to 1, or None if none is within
-        the unity tolerance."""
-        d = np.abs(self.multipliers - 1.0)
-        i = int(np.argmin(d))
-        return i if d[i] < UNITY_TOL else None
-
 
 @dataclass(frozen=True)
 class LFDecomposition:
@@ -111,34 +106,69 @@ class LFDecomposition:
     period: float
 
 
-def _segment_factors(model, lc, kappa, mask, cfg, segments):
-    """Integrate the augmented (cycle + variational) system over one period
-    in ``segments`` legs, restarting the variational factor at the identity
-    each leg.  Returns (factors, cycle drift)."""
+def _variational_rhs(model, kappas, mask, with_trace=False):
+    """Right-hand side of the augmented system on a (B, n) batch: row b is
+    ``[x, vec Y_b]`` (plus the Jacobian trace integral ``with_trace``),
+    with Y_b' = [Df(x) - kappas[b] * DH] Y_b.  All rows carry the same
+    cycle state, so f and its Jacobian are evaluated once per call."""
     m = model.dim
     f, jac = model.field, model.jacobian
-    dh = mask  # diagonal of DH; constant along the cycle (linear coupling)
+    mm = m * m
+    # diag(mask) is DH; constant along the cycle (linear coupling).
+    shift = np.asarray(kappas, dtype=float)[:, None, None] * np.diag(mask)
 
-    def aug(z):
-        x = z[:m]
-        y = z[m:].reshape(m, m)
+    def rhs(z):
+        x = z[0, :m]
         a = jac(x)
-        if kappa != 0.0:
-            a = a - np.diag(kappa * dh)
-        return np.concatenate([f(x), (a @ y).ravel()])
+        out = np.empty_like(z)
+        out[:, :m] = f(x)
+        ys = z[:, m:m + mm].reshape(-1, m, m)
+        out[:, m:m + mm] = ((a - shift) @ ys).reshape(-1, mm)
+        if with_trace:
+            out[:, -1] = np.trace(a)
+        return out
 
-    bounds = np.linspace(0.0, lc.period, segments + 1)
-    eye_flat = np.eye(m).ravel()
+    return rhs
+
+
+def variational_factors(model: OscillatorModel, lc: LimitCycle, kappas,
+                        mask=None, cfg: IntegratorConfig | None = None,
+                        segments: int | None = None,
+                        t_end: float | None = None, with_trace: bool = False):
+    """Integrate the cycle with one variational matrix per kappa on one
+    step sequence over [0, t_end] (default one period), in ``segments``
+    legs that each restart the matrices at the identity.
+
+    Returns the (B, p, m, m) segment factors, the relative drift of the
+    cycle state from the anchor (:class:`ClosureDrift` above 1e-4 over a
+    full period) and, ``with_trace``, the integral of tr Df (else None).
+    """
+    cfg = cfg or IntegratorConfig()
+    m = model.dim
+    mask_v = _resolve_mask(mask, m)
+    kappas = np.asarray(kappas, dtype=float).ravel()
+    p = _n_segments(m, segments)
+    rhs = _variational_rhs(model, kappas, mask_v, with_trace)
+    bounds = np.linspace(0.0, lc.period if t_end is None else t_end, p + 1)
+    z0 = np.zeros((kappas.size, m + m * m + int(with_trace)))
+    z0[:, m:m + m * m] = np.eye(m).ravel()
     x = lc.anchor.copy()
-    factors = []
-    for i in range(segments):
-        z0 = np.concatenate([x, eye_flat])
-        traj = integrate(aug, z0, (0.0, bounds[i + 1] - bounds[i]), cfg)
-        z_end = traj.states[-1]
-        x = z_end[:m]
-        factors.append(z_end[m:].reshape(m, m))
+    factors = np.empty((kappas.size, p, m, m))
+    trace_integral = 0.0 if with_trace else None
+    for i in range(p):
+        z0[:, :m] = x
+        z_end = _final_state(rhs, z0, (0.0, bounds[i + 1] - bounds[i]), cfg)
+        x = z_end[0, :m]
+        factors[:, i] = z_end[:, m:m + m * m].reshape(-1, m, m)
+        if with_trace:
+            trace_integral += float(z_end[0, -1])
     drift = float(np.linalg.norm(x - lc.anchor) / np.linalg.norm(lc.anchor))
-    return factors, drift
+    if t_end is None and drift > _CLOSURE_DRIFT_TOL:
+        raise ClosureDrift(
+            f"cycle state drifted {drift:.3g} (relative) over one period; "
+            "limit cycle and model are inconsistent"
+        )
+    return factors, drift, trace_integral
 
 
 def _cyclic_multipliers(factors):
@@ -185,15 +215,10 @@ def monodromy(model: OscillatorModel, lc: LimitCycle, kappa: float = 0.0,
     Raises :class:`ClosureDrift` if the cycle state fails to return to the
     anchor within 1e-4 relative.
     """
-    cfg = cfg or IntegratorConfig()
     mask_v = _resolve_mask(mask, model.dim)
-    p = _n_segments(model.dim, segments)
-    factors, drift = _segment_factors(model, lc, float(kappa), mask_v, cfg, p)
-    if drift > _CLOSURE_DRIFT_TOL:
-        raise ClosureDrift(
-            f"cycle state drifted {drift:.3g} (relative) over one period; "
-            "limit cycle and model are inconsistent"
-        )
+    stack, _, _ = variational_factors(model, lc, [kappa], mask_v, cfg,
+                                      segments)
+    factors = stack[0]
     phi = factors[0]
     for a in factors[1:]:
         phi = a @ phi
@@ -240,7 +265,6 @@ def ajl_determinant(model: OscillatorModel, lc: LimitCycle,
     integrates the scalar Jacobian trace along the cycle.  Returns
     ``(det_phi, rhs)``; agreement is the caller's assertion.
     """
-    cfg = cfg or IntegratorConfig()
     mask_v = _resolve_mask(mask, model.dim)
     t_end = lc.period if t is None else float(t)
     if not 0.0 <= t_end <= lc.period * (1 + 1e-12):
@@ -248,34 +272,15 @@ def ajl_determinant(model: OscillatorModel, lc: LimitCycle,
     if t_end == 0.0:
         return 1.0, 1.0
 
-    m = model.dim
-    f, jac = model.field, model.jacobian
-    kap = float(kappa)
-    p_full = _n_segments(m, segments)
+    p_full = _n_segments(model.dim, segments)
     p = max(1, int(np.ceil(p_full * t_end / lc.period)))
-    bounds = np.linspace(0.0, t_end, p + 1)
-
-    def aug(z):
-        x = z[:m]
-        y = z[m: m + m * m].reshape(m, m)
-        a = jac(x)
-        trace = np.trace(a)
-        if kap != 0.0:
-            a = a - np.diag(kap * mask_v)
-        return np.concatenate([f(x), (a @ y).ravel(), [trace]])
-
-    eye_flat = np.eye(m).ravel()
-    x = lc.anchor.copy()
+    factors, _, trace_integral = variational_factors(
+        model, lc, [kappa], mask_v, cfg, p, t_end=t_end, with_trace=True)
     det_phi = 1.0
-    trace_integral = 0.0
-    for i in range(p):
-        z0 = np.concatenate([x, eye_flat, [0.0]])
-        traj = integrate(aug, z0, (0.0, bounds[i + 1] - bounds[i]), cfg)
-        z_end = traj.states[-1]
-        x = z_end[:m]
-        det_phi *= float(np.real(linalg.determinant(z_end[m:-1].reshape(m, m))))
-        trace_integral += float(z_end[-1])
-    rhs = float(np.exp(trace_integral) * np.exp(-kap * mask_v.sum() * t_end))
+    for a in factors[0]:
+        det_phi *= float(np.real(linalg.determinant(a)))
+    rhs = float(np.exp(trace_integral)
+                * np.exp(-float(kappa) * mask_v.sum() * t_end))
     return det_phi, rhs
 
 
@@ -305,19 +310,12 @@ def lf_decomposition(model: OscillatorModel, lc: LimitCycle,
     Raises ``SingularInput`` / ``NonDiagonalizable`` from the matrix
     logarithm when the monodromy violates its preconditions.
     """
-    cfg = cfg or IntegratorConfig()
     m = model.dim
-    f, jac = model.field, model.jacobian
-
-    def aug(z):
-        x = z[:m]
-        y = z[m:].reshape(m, m)
-        return np.concatenate([f(x), (jac(x) @ y).ravel()])
-
-    z0 = np.concatenate([lc.anchor, np.eye(m).ravel()])
-    traj = integrate(aug, z0, (0.0, lc.period), cfg)
-    phi_t_flat = traj.eval(lc.times)
-    phi_end = traj.states[-1][m:].reshape(m, m)
+    rhs = _variational_rhs(model, [0.0], np.ones(m))
+    z0 = np.concatenate([lc.anchor, np.eye(m).ravel()])[None]
+    traj = integrate(rhs, z0, (0.0, lc.period), cfg)
+    phi_t_flat = traj.eval(lc.times)[:, 0]
+    phi_end = traj.states[-1][0, m:].reshape(m, m)
 
     r = linalg.log_principal(phi_end) / lc.period
 

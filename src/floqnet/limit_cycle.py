@@ -18,7 +18,7 @@ import numpy as np
 
 from .exceptions import FixedPointConvergence, NoCrossings, NotPeriodic
 from .models import OscillatorModel
-from .ode import IntegratorConfig, integrate, integrate_with_events
+from .ode import IntegratorConfig, _consume, _final_state, integrate
 
 __all__ = ["LimitCycle", "find_limit_cycle", "resample"]
 
@@ -151,7 +151,7 @@ def _attempt(model, x_start, transient, cfg, n_samples):
 
     x_settled = x_start
     if transient > 0:
-        x_settled = integrate(f, x_start, (0.0, transient), relaxed).states[-1]
+        x_settled = _final_state(f, x_start, (0.0, transient), relaxed)
 
     # Scout pass: choose the section coordinate and level.
     scout = integrate(f, x_settled, (0.0, _SCOUT_WINDOW), relaxed)
@@ -173,9 +173,8 @@ def _attempt(model, x_start, transient, cfg, n_samples):
     window = _SCOUT_WINDOW
     crossings = []
     for _ in range(_MAX_WINDOW_DOUBLINGS + 1):
-        _, crossings = integrate_with_events(
-            f, x_settled, (0.0, window), cfg, event=section
-        )
+        _, crossings = _consume(f, x_settled, (0.0, window), cfg, section,
+                                keep=False)
         if len(crossings) >= _MIN_CROSSINGS:
             break
         window *= 2.0

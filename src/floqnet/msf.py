@@ -10,21 +10,24 @@ on the product K*lambda only, never on K and lambda separately.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DisconnectedGraph
-from .floquet import Monodromy, monodromy
+from .floquet import UNITY_TOL, _cyclic_multipliers, monodromy, \
+    variational_factors
 from .limit_cycle import LimitCycle
 from .models import OscillatorModel
 from .network import GraphSpec
 from .ode import IntegratorConfig
 
 __all__ = ["MsfPoint", "MsfCurve", "SyncVerdict", "msf_point", "msf_sweep",
-           "sync_predicate", "resolve_workers", "default_kappa_grid"]
+           "sync_predicate", "default_kappa_grid"]
+
+# Relative tolerance under which two K*lambda values count as one kappa.
+KAPPA_EQUAL_RTOL = 1e-12
 
 
 def default_kappa_grid():
@@ -82,13 +85,15 @@ class SyncVerdict:
         return list(zip(self.lambdas.tolist(), self.mu_max.tolist()))
 
 
-def _mu_max_of(mon: Monodromy) -> float:
-    mods = np.abs(mon.multipliers)
-    if mon.kappa == 0.0:
-        i = mon.unity_index()
-        if i is not None:
-            mods = np.delete(mods, i)
-    return float(mods.max()) if mods.size else 0.0
+def _point(kappa: float, multipliers) -> MsfPoint:
+    mods = np.abs(multipliers)
+    if kappa == 0.0:  # drop the unity multiplier, if one is within tolerance
+        dist = np.abs(multipliers - 1.0)
+        if dist.min() < UNITY_TOL:
+            mods = np.delete(mods, np.argmin(dist))
+    return MsfPoint(kappa=float(kappa),
+                    mu_max=float(mods.max()) if mods.size else 0.0,
+                    multipliers=multipliers)
 
 
 def msf_point(model: OscillatorModel, lc: LimitCycle, kappa: float,
@@ -100,36 +105,17 @@ def msf_point(model: OscillatorModel, lc: LimitCycle, kappa: float,
     instability directly.
     """
     mon = monodromy(model, lc, kappa=kappa, mask=mask, cfg=cfg)
-    return MsfPoint(kappa=float(kappa), mu_max=_mu_max_of(mon),
-                    multipliers=mon.multipliers)
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count for sweep parallelism.
-
-    Explicit argument wins; otherwise the FLOQNET_THREADS environment
-    variable (0 = auto = CPU count); otherwise serial.
-    """
-    if workers is None:
-        env = os.environ.get("FLOQNET_THREADS", "").strip()
-        if not env:
-            return 1
-        workers = int(env)
-    if workers == 0:
-        return os.cpu_count() or 1
-    if workers < 0:
-        raise ValueError("worker count must be >= 0")
-    return workers
+    return _point(mon.kappa, mon.multipliers)
 
 
 def msf_sweep(model: OscillatorModel, lc: LimitCycle, mask, kappa_grid,
-              cfg: IntegratorConfig | None = None,
-              workers: int | None = None) -> MsfCurve:
+              cfg: IntegratorConfig | None = None) -> MsfCurve:
     """Evaluate the MSF on a strictly increasing grid of kappa >= 0.
 
-    Points are independent and may be computed concurrently; results are
-    always assembled in grid order, so the output is reproducible
-    regardless of execution schedule.  Any point failure fails the sweep.
+    Every grid point is integrated in one variational pass over the
+    cycle (:func:`~floqnet.floquet.variational_factors`), whose step
+    sequence is set by the most demanding kappa; each point then gets its
+    multipliers from its own segment factors.
     """
     grid = np.asarray(kappa_grid, dtype=float).ravel()
     if grid.size == 0:
@@ -139,14 +125,9 @@ def msf_sweep(model: OscillatorModel, lc: LimitCycle, mask, kappa_grid,
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("kappa grid must be strictly increasing")
 
-    n_workers = resolve_workers(workers)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            points = list(pool.map(
-                lambda k: msf_point(model, lc, k, mask=mask, cfg=cfg), grid
-            ))
-    else:
-        points = [msf_point(model, lc, k, mask=mask, cfg=cfg) for k in grid]
+    factors, _, _ = variational_factors(model, lc, grid, mask, cfg)
+    points = [_point(kappa, _cyclic_multipliers(segment_factors))
+              for kappa, segment_factors in zip(grid, factors)]
     return MsfCurve(points=tuple(points), model_name=model.name,
                     mask=np.asarray(mask if mask is not None
                                     else np.ones(model.dim), dtype=float),
@@ -173,14 +154,15 @@ def sync_predicate(model: OscillatorModel, lc: LimitCycle, graph: GraphSpec,
             "the graph must be connected"
         )
     K = float(K)
-    mu_by_kappa: dict[float, float] = {}
+    kappas = K * np.asarray(lambdas, dtype=float)
     mu = np.empty(graph.n)
-    for i, lam in enumerate(lambdas):
-        kap = K * float(lam)
-        if kap not in mu_by_kappa:
-            mu_by_kappa[kap] = msf_point(model, lc, kap, mask=mask,
-                                         cfg=cfg).mu_max
-        mu[i] = mu_by_kappa[kap]
+    # lambdas ascend, so equal kappas are neighbours; one MSF point serves
+    # each run of kappas within KAPPA_EQUAL_RTOL of the one before.
+    for i, kap in enumerate(kappas):
+        if i == 0 or not math.isclose(kap, kappas[i - 1],
+                                      rel_tol=KAPPA_EQUAL_RTOL):
+            mu_kap = msf_point(model, lc, kap, mask=mask, cfg=cfg).mu_max
+        mu[i] = mu_kap
     synchronizes = K != 0.0 and bool(np.all(mu[1:] < 1.0))
     return SyncVerdict(K=K, synchronizes=synchronizes,
                        lambdas=np.asarray(lambdas, dtype=float), mu_max=mu)

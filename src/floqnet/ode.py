@@ -15,6 +15,7 @@ multiplier error.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,8 @@ __all__ = ["IntegratorConfig", "Trajectory", "integrate",
 # controller.
 BLOWUP_LIMIT = 1e12
 
-# Dormand-Prince 5(4) tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau; row 6 holds the 5th-order weights, so
+# stage 7 lands on the solution (FSAL).
 _A = np.zeros((7, 7))
 _A[1, 0] = 1 / 5
 _A[2, :2] = (3 / 40, 9 / 40)
@@ -38,7 +39,6 @@ _A[3, :3] = (44 / 45, -56 / 15, 32 / 9)
 _A[4, :4] = (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)
 _A[5, :5] = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)
 _A[6, :6] = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_B = _A[6]  # 5th-order weights (stage 7 lands on the solution: FSAL)
 # b - b_hat: difference against the embedded 4th-order solution.
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                -17253 / 339200, 22 / 525, -1 / 40])
@@ -46,6 +46,9 @@ _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
 _D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
                -10690763975 / 1880347072, 701980252875 / 199316789632,
                -1453857185 / 822651844, 69997945 / 29380423])
+
+_A_ROWS = [_A[i, :i] for i in range(7)]
+_EPS = np.finfo(float).eps
 
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -85,7 +88,7 @@ class Trajectory:
     def __init__(self, times, states, rcont):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
-        self._rcont = rcont  # (n_steps, 5, dim)
+        self._rcont = rcont  # (n_steps, 5, *state shape)
 
     @property
     def t0(self):
@@ -94,10 +97,6 @@ class Trajectory:
     @property
     def t1(self):
         return self.times[-1]
-
-    @property
-    def dim(self):
-        return self.states.shape[1]
 
     def __len__(self):
         return len(self.times)
@@ -113,37 +112,35 @@ class Trajectory:
             return self.states[idx].copy()
         step = idx - 1
         t_lo, t_hi = self.times[step], self.times[step + 1]
-        theta = (t - t_lo) / (t_hi - t_lo)
-        r = self._rcont[step]
-        theta1 = 1.0 - theta
-        return r[0] + theta * (r[1] + theta1 * (r[2] + theta * (r[3] + theta1 * r[4])))
+        return _dense_eval(self._rcont[step], (t - t_lo) / (t_hi - t_lo))
 
     def eval(self, t):
         """Dense evaluation at scalar or array ``t`` within the span."""
         t_arr = np.asarray(t, dtype=float)
         if t_arr.ndim == 0:
             return self._eval_scalar(float(t_arr))
-        out = np.empty((t_arr.size, self.states.shape[1]))
+        out = np.empty((t_arr.size,) + self.states.shape[1:])
         for i, ti in enumerate(t_arr.ravel()):
             out[i] = self._eval_scalar(float(ti))
         return out
 
 
-def _error_norm(err, y0, y1, rel_tol, abs_tol):
-    scale = abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+def _rms(v):
+    """RMS norm of a state, or of its worst row for a (B, d) batch."""
+    rows = np.add.reduce(v * v, axis=-1)
+    return math.sqrt(np.maximum.reduce(rows, axis=None) / v.shape[-1])
 
 
 def _initial_step(field, x0, f0, span, max_step, rel_tol, abs_tol):
     """Heuristic first step (Hairer's hinit, simplified)."""
     scale = abs_tol + rel_tol * np.abs(x0)
-    d0 = float(np.sqrt(np.mean((x0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    d0 = _rms(x0 / scale)
+    d1 = _rms(f0 / scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
     y1 = x0 + h0 * f0
     f1 = field(y1)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    d2 = _rms((f1 - f0) / scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -151,101 +148,101 @@ def _initial_step(field, x0, f0, span, max_step, rel_tol, abs_tol):
     return min(100 * h0, h1, max_step, span)
 
 
-def _integrate_core(field, x0, t_span, cfg, event=None):
+def _integrate_core(field, x0, t_span, cfg):
+    """Yield every accepted Dormand-Prince step as ``(t, h, y, y_new, k)``,
+    states flattened and ``k`` the (7, x0.size) stage derivatives, which
+    are overwritten when the loop resumes.  A (B, d) ``x0`` is B row
+    systems sharing one step sequence, controlled by the worst row's
+    error norm.
+    """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError(f"t_span must satisfy t1 > t0, got {t_span}")
-    y = np.asarray(x0, dtype=float).copy()
-    if y.ndim != 1:
-        raise ValueError("x0 must be a 1-D state vector")
-    if not np.all(np.isfinite(y)):
+    y0 = np.asarray(x0, dtype=float).copy()
+    if y0.ndim not in (1, 2):
+        raise ValueError("x0 must be a state vector or a (rows, dim) batch")
+    if not np.all(np.isfinite(y0)):
         raise ValueError("x0 has non-finite entries")
-    dim = y.size
+    shape = y0.shape
     span = t1 - t0
     max_step = cfg.max_step if cfg.max_step is not None else span / 10.0
+    rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
 
-    times = [t0]
-    states = [y.copy()]
-    rconts = []
-    crossings = []
-
-    k = np.empty((7, dim))
-    k[0] = field(y)
-    g_prev = float(event(y)) if event is not None else 0.0
-    h = _initial_step(field, y, k[0], span, max_step, cfg.rel_tol, cfg.abs_tol)
+    # The loop runs on flat states; a batch field sees its (B, d) shape.
+    rhs = field if y0.ndim == 1 else (
+        lambda z: field(z.reshape(shape)).reshape(-1))
+    y = y0.reshape(-1)
+    k = np.empty((7, y.size))
+    k[0] = rhs(y)
+    h = _initial_step(field, y0, k[0].reshape(shape), span, max_step,
+                      rel_tol, abs_tol)
 
     t = t0
     n_steps = 0
+    abs_y = np.abs(y)
     while t < t1:
         if n_steps >= cfg.max_steps:
             raise StepBudgetExceeded(
                 f"exceeded {cfg.max_steps} steps at t={t:.6g}"
             )
         h = min(h, max_step, t1 - t)
-        if h <= 16 * np.finfo(float).eps * max(abs(t), 1.0):
+        if h <= 16 * _EPS * max(abs(t), 1.0):
             raise StepFailure(f"step size underflow at t={t:.6g} (h={h:.3g})")
 
-        for i in range(1, 7):
-            k[i] = field(y + h * (_A[i, :i] @ k[:i]))
-        y_new = y + h * (_A[6, :6] @ k[:6])  # identical to stage-7 state
+        for i in range(1, 6):
+            k[i] = rhs(y + h * (_A_ROWS[i] @ k[:i]))
+        y_new = y + h * (_A_ROWS[6] @ k[:6])
+        k[6] = rhs(y_new)  # stage 7 is evaluated at the solution (FSAL)
         err_vec = h * (_E @ k)
 
-        if not np.all(np.isfinite(y_new)):
+        abs_new = np.abs(y_new)
+        peak = abs_new.max()
+        if not peak < np.inf:  # NaN or inf in y_new
             h *= 0.5
             n_steps += 1
             continue
-        err = _error_norm(err_vec, y, y_new, cfg.rel_tol, cfg.abs_tol)
+        scale = abs_tol + rel_tol * np.maximum(abs_y, abs_new)
+        err = _rms((err_vec / scale).reshape(shape))
         if err > 1.0:
             h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             n_steps += 1
             continue
 
         # Accepted.
-        if np.max(np.abs(y_new)) > BLOWUP_LIMIT:
+        if peak > BLOWUP_LIMIT:
             raise Blowup(
                 f"state norm exceeded {BLOWUP_LIMIT:.0e} at t={t + h:.6g}",
-                t=t + h, state=y_new,
+                t=t + h, state=y_new.reshape(shape),
             )
-        ydiff = y_new - y
-        bspl = h * k[0] - ydiff
-        rcont = np.empty((5, dim))
-        rcont[0] = y
-        rcont[1] = ydiff
-        rcont[2] = bspl
-        rcont[3] = ydiff - h * k[6] - bspl
-        rcont[4] = h * (_D @ k)
-        rconts.append(rcont)
-
-        t_new = t + h
-        times.append(t_new)
-        states.append(y_new.copy())
-
-        if event is not None:
-            g_new = float(event(y_new))
-            if g_prev < 0.0 <= g_new:
-                tc = _refine_crossing(event, rcont, t, h, g_prev, g_new)
-                theta = (tc - t) / h
-                theta1 = 1.0 - theta
-                r = rcont
-                yc = r[0] + theta * (r[1] + theta1 * (r[2] + theta * (r[3] + theta1 * r[4])))
-                crossings.append((tc, yc))
-            g_prev = g_new
+        yield t, h, y, y_new, k
 
         factor = _MAX_FACTOR if err == 0.0 else min(
             _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2)
         )
+        t = t + h
         h = h * factor
-        y = y_new
+        y, abs_y = y_new, abs_new
         k[0] = k[6]  # FSAL
-        t = t_new
         n_steps += 1
 
-    traj = Trajectory(np.array(times), np.array(states),
-                      np.array(rconts) if rconts else np.empty((0, 5, dim)))
-    return traj, crossings
+
+def _dense_coeffs(h, y, y_new, k):
+    """Coefficients of the quartic continuous extension over one step."""
+    r = np.empty((5, y.size))
+    r[0] = y
+    r[1] = ydiff = y_new - y
+    r[2] = bspl = h * k[0] - ydiff
+    r[3] = ydiff - h * k[6] - bspl
+    r[4] = h * (_D @ k)
+    return r
 
 
-def _refine_crossing(event, rcont, t_lo, h, g_lo, g_hi):
+def _dense_eval(r, theta):
+    theta1 = 1.0 - theta
+    return r[0] + theta * (r[1] + theta1 * (r[2] + theta * (r[3] + theta1 * r[4])))
+
+
+def _refine_crossing(event, rcont, t_lo, h):
     """Bisect the dense polynomial for the upward zero of ``event``.
 
     The sign change is guaranteed by the caller; bisection to ~1e-13
@@ -254,11 +251,7 @@ def _refine_crossing(event, rcont, t_lo, h, g_lo, g_hi):
     a, b = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (a + b)
-        theta1 = 1.0 - mid
-        r = rcont
-        y_mid = r[0] + mid * (r[1] + theta1 * (r[2] + mid * (r[3] + theta1 * r[4])))
-        g_mid = float(event(y_mid))
-        if g_mid < 0.0:
+        if float(event(_dense_eval(rcont, mid))) < 0.0:
             a = mid
         else:
             b = mid
@@ -267,15 +260,41 @@ def _refine_crossing(event, rcont, t_lo, h, g_lo, g_hi):
     return t_lo + 0.5 * (a + b) * h
 
 
+def _consume(field, x0, t_span, cfg, event=None, keep=True):
+    """Consume the step stream of one integration.  Returns the
+    :class:`Trajectory` (None unless ``keep``) and the upward
+    zero-crossings ``(time, state)`` of ``event``, which needs a 1-D x0."""
+    shape = np.shape(x0)
+    times, states = [float(t_span[0])], [np.asarray(x0, dtype=float).ravel()]
+    rconts, crossings, g_hi = [], [], None
+    for t, h, y, y_new, k in _integrate_core(field, x0, t_span, cfg):
+        rcont = _dense_coeffs(h, y, y_new, k) if keep else None
+        if event is not None:
+            g_lo = float(event(y)) if g_hi is None else g_hi
+            g_hi = float(event(y_new))
+            if g_lo < 0.0 <= g_hi:
+                r = _dense_coeffs(h, y, y_new, k) if rcont is None else rcont
+                tc = _refine_crossing(event, r, t, h)
+                crossings.append((tc, _dense_eval(r, (tc - t) / h)))
+        if keep:
+            times.append(t + h)
+            states.append(y_new)
+            rconts.append(rcont)
+    if not keep:
+        return None, crossings
+    return Trajectory(np.array(times), np.array(states).reshape((-1,) + shape),
+                      np.array(rconts).reshape((-1, 5) + shape)), crossings
+
+
 def integrate(field, x0, t_span, cfg=None):
     """Integrate ``dx/dt = field(x)`` over ``t_span = (t0, t1)``.
 
-    Returns a :class:`Trajectory` with dense output.  Raises
-    :class:`StepFailure`, :class:`Blowup`, or :class:`StepBudgetExceeded`
-    on the corresponding failures.
+    ``x0`` is a state vector, or a (B, d) batch of row systems integrated
+    on one shared step sequence.  Returns a :class:`Trajectory` with dense
+    output.  Raises :class:`StepFailure`, :class:`Blowup`, or
+    :class:`StepBudgetExceeded` on the corresponding failures.
     """
-    cfg = cfg or IntegratorConfig()
-    traj, _ = _integrate_core(field, x0, t_span, cfg)
+    traj, _ = _consume(field, x0, t_span, cfg or IntegratorConfig())
     return traj
 
 
@@ -289,8 +308,16 @@ def integrate_with_events(field, x0, t_span, cfg=None, event=None):
     """
     if event is None:
         raise ValueError("event function required")
-    cfg = cfg or IntegratorConfig()
-    return _integrate_core(field, x0, t_span, cfg, event=event)
+    if np.ndim(x0) != 1:
+        raise ValueError("events need a 1-D state vector x0")
+    return _consume(field, x0, t_span, cfg or IntegratorConfig(), event)
+
+
+def _final_state(field, x0, t_span, cfg):
+    """The last state of :func:`integrate`, keeping no trajectory."""
+    for _, _, _, y_new, _ in _integrate_core(field, x0, t_span, cfg):
+        pass
+    return y_new.reshape(np.shape(x0))
 
 
 def rk4_fixed(field, x0, t_span, n_steps):

@@ -8,7 +8,8 @@ from floqnet.exceptions import FixedPointConvergence, NoCrossings, \
     NotPeriodic
 from floqnet.limit_cycle import find_limit_cycle, resample
 from floqnet.models import OscillatorModel, vdp_model
-from floqnet.ode import IntegratorConfig, integrate
+from floqnet.ode import IntegratorConfig, _consume, integrate, \
+    integrate_with_events
 
 # Reference oracle values (rel_tol 1e-12 integration, 5 averaged Poincare
 # returns after a 100-time-unit transient; gap spread 7e-13).
@@ -56,6 +57,23 @@ class TestRepressilatorCycle:
     def test_period_and_closure(self, rep_cycle):
         assert rep_cycle.closure_residual < 1e-6
         assert rep_cycle.period == pytest.approx(REP_PERIOD_REF, rel=1e-6)
+
+
+class TestStreamedSearch:
+    def test_streamed_crossings_equal_collected(self, vdp):
+        # The section search keeps only the crossings of its event pass.
+        def section(x):
+            return x[0] - 0.3
+
+        span, cfg = (0.0, 60.0), IntegratorConfig()
+        _, collected = integrate_with_events(
+            vdp.field, vdp.default_initial, span, cfg, event=section)
+        _, streamed = _consume(vdp.field, vdp.default_initial, span, cfg,
+                               section, keep=False)
+        assert len(streamed) == len(collected) >= 8
+        for (t_s, x_s), (t_c, x_c) in zip(streamed, collected):
+            assert t_s == t_c
+            assert np.array_equal(x_s, x_c)
 
 
 class TestEvalAndResample:

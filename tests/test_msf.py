@@ -3,9 +3,11 @@ network synchronization predicate."""
 import numpy as np
 import pytest
 
+import floqnet.msf
 from floqnet.exceptions import DisconnectedGraph
 from floqnet.floquet import monodromy
-from floqnet.msf import msf_point, msf_sweep, resolve_workers, sync_predicate
+from floqnet.msf import default_kappa_grid, msf_point, msf_sweep, \
+    sync_predicate
 from floqnet.network import complete_graph, from_adjacency
 
 VDP_MU2_REF = 8.596950636061e-04
@@ -84,21 +86,19 @@ class TestMsfSweep:
         with pytest.raises(ValueError):
             msf_sweep(vdp, vdp_cycle, None, [-0.5, 1.0])
 
-    def test_threaded_sweep_matches_serial(self, vdp, vdp_cycle):
-        grid = np.array([0.3, 0.7, 1.3, 2.1])
-        serial = msf_sweep(vdp, vdp_cycle, [0, 1], grid, workers=1)
-        threaded = msf_sweep(vdp, vdp_cycle, [0, 1], grid, workers=3)
-        assert [p.mu_max for p in serial.points] == \
-            [p.mu_max for p in threaded.points]
-
-    def test_worker_resolution(self, monkeypatch):
-        monkeypatch.delenv("FLOQNET_THREADS", raising=False)
-        assert resolve_workers() == 1
-        monkeypatch.setenv("FLOQNET_THREADS", "3")
-        assert resolve_workers() == 3
-        monkeypatch.setenv("FLOQNET_THREADS", "0")
-        assert resolve_workers() >= 1
-        assert resolve_workers(workers=2) == 2
+    @pytest.mark.parametrize("model, cycle, mask", [
+        ("vdp", "vdp_cycle", [0, 1]),
+        ("vdp", "vdp_cycle", None),
+        ("repressilator", "rep_cycle", [0, 1, 0, 1, 0, 1]),
+    ])
+    def test_batched_sweep_matches_per_point_monodromy(
+            self, request, model, cycle, mask):
+        model = request.getfixturevalue(model)
+        lc = request.getfixturevalue(cycle)
+        curve = msf_sweep(model, lc, mask, default_kappa_grid())
+        for point in curve.points:
+            expected = msf_point(model, lc, point.kappa, mask=mask).mu_max
+            assert point.mu_max == pytest.approx(expected, rel=1e-8)
 
 
 class TestSyncPredicate:
@@ -137,6 +137,26 @@ class TestSyncPredicate:
         a = msf_point(vdp, vdp_cycle, 2.0 * 1.0, mask=[0, 1])
         b = msf_point(vdp, vdp_cycle, 1.0 * 2.0, mask=[0, 1])
         assert a.mu_max == b.mu_max  # bit-identical
+
+    def test_one_monodromy_per_distinct_kappa(self, vdp, vdp_cycle,
+                                              monkeypatch):
+        # complete_graph(32): lambda = 0 once and 32 (to rounding) 31 times.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["kappa"])
+            return monodromy(*args, **kwargs)
+
+        monkeypatch.setattr(floqnet.msf, "monodromy", counted)
+        graph = complete_graph(32)
+        k = 0.1
+        verdict = sync_predicate(vdp, vdp_cycle, graph, k)
+        assert len(calls) == 2
+        assert verdict.synchronizes
+        assert verdict.mu_max[0] == pytest.approx(VDP_MU2_REF, rel=1e-6)
+        for lam, mu in verdict.per_mode[1:]:
+            assert mu == pytest.approx(np.exp(-k * lam * vdp_cycle.period),
+                                       rel=1e-6)
 
     def test_disconnected_graph_rejected(self, vdp, vdp_cycle):
         two_pairs = np.zeros((4, 4))

@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from floqnet.exceptions import Blowup, OutOfRange, StepBudgetExceeded
-from floqnet.ode import IntegratorConfig, integrate, integrate_with_events, \
-    rk4_fixed
+from floqnet.ode import IntegratorConfig, _final_state, integrate, \
+    integrate_with_events, rk4_fixed
 
 
 def harmonic(x):
@@ -55,6 +55,51 @@ class TestIntegrate:
             integrate(lambda x: x ** 2, [1.0], (0.0, 2.0),
                       IntegratorConfig(max_step=0.2))
         assert info.value.t is not None and info.value.t <= 1.01
+
+
+class TestBatchedRows:
+    def test_single_row_batch_matches_vector(self):
+        cfg = IntegratorConfig()
+
+        # Same ufunc arithmetic for a (2,) state and a (1, 2) batch.
+        def vdp_any(x):
+            return np.stack([x[..., 1],
+                             (1.0 - x[..., 0] ** 2) * x[..., 1] - x[..., 0]],
+                            axis=-1)
+
+        vector = integrate(vdp_any, [2.0, 0.0], (0.0, 20.0), cfg)
+        batch = integrate(vdp_any, [[2.0, 0.0]], (0.0, 20.0), cfg)
+        assert np.array_equal(batch.times, vector.times)
+        assert np.array_equal(batch.states[:, 0], vector.states)
+        assert np.array_equal(
+            _final_state(vdp_any, [[2.0, 0.0]], (0.0, 20.0), cfg)[0],
+            vector.states[-1])
+
+    def test_decoupled_rows_each_meet_tolerance(self):
+        # Row b rotates at rate omega_b: x(t) = (cos w t, -sin w t).  The
+        # shared steps follow the fastest row, so no row is less accurate
+        # than when it is integrated alone.
+        omega = np.array([0.5, 1.0, 3.0, 7.0])
+
+        def rotations(x):
+            return omega[:, None] * np.stack([x[:, 1], -x[:, 0]], axis=1)
+
+        def exact(t):
+            return np.stack([np.cos(omega * t), -np.sin(omega * t)], axis=1)
+
+        t_end = 5.0
+        x0 = np.tile([1.0, 0.0], (omega.size, 1))
+        traj = integrate(rotations, x0, (0.0, t_end))
+        assert traj.states.shape == (len(traj), omega.size, 2)
+        row_err = np.abs(traj.states[-1] - exact(t_end)).max(axis=1)
+        for w, err in zip(omega, row_err):
+            alone = integrate(lambda x, w=w: w * np.array([x[1], -x[0]]),
+                              [1.0, 0.0], (0.0, t_end)).states[-1]
+            alone_err = np.abs(alone - exact(t_end)[omega == w][0]).max()
+            assert err <= 1.01 * alone_err
+        assert row_err.max() < 1e-8
+        mid = 0.5 * (traj.times[3] + traj.times[4])
+        assert np.abs(traj.eval(mid) - exact(mid)).max() < 1e-8
 
 
 class TestDenseOutput:
