@@ -3,12 +3,12 @@
 Each registered oscillator is integrated past its transient, a Poincare
 section is placed through the coordinate with the largest swing, and the
 period is estimated from the section return times.  The result is a
-uniform-phase sampled orbit with a smooth interpolant.
+uniform-phase sampled orbit.
 """
 import numpy as np
 
-from floqnet import find_limit_cycle, resample, vdp_model, \
-    repressilator_model, linear_rotation_model
+from floqnet import find_limit_cycle, vdp_model, repressilator_model, \
+    linear_rotation_model
 
 print("= Van der Pol, mu = 1")
 vdp = vdp_model(1.0)
@@ -33,11 +33,3 @@ print("\n= Harmonic rotation (analytic sanity: period 2*pi)")
 lc_rot = find_limit_cycle(linear_rotation_model())
 print(f"  period            {lc_rot.period:.12f}")
 print(f"  2*pi              {2 * np.pi:.12f}")
-
-# The interpolant evaluates anywhere (times wrap modulo the period), and
-# cycles can be resampled to any density without re-integrating.
-dense = resample(lc, 2048)
-probe = np.linspace(0.0, 3 * lc.period, 7)
-print("\n= Interpolation on the Van der Pol cycle (3 wraps)")
-for t, x in zip(probe, dense.eval(probe)):
-    print(f"  x({t:7.3f}) = [{x[0]:+.6f}, {x[1]:+.6f}]")

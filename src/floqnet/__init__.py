@@ -12,7 +12,7 @@ from . import (exceptions, floquet, limit_cycle, linalg, models, msf,
 from .exceptions import FloqnetError
 from .floquet import ajl_determinant, lf_decomposition, monodromy, \
     shifted_multipliers_fullstate
-from .limit_cycle import LimitCycle, find_limit_cycle, resample
+from .limit_cycle import LimitCycle, find_limit_cycle
 from .models import get_model, linear_rotation_model, repressilator_model, \
     vdp_model
 from .msf import msf_point, msf_sweep, sync_predicate
@@ -27,7 +27,7 @@ __all__ = [
     "network", "msf", "FloqnetError", "IntegratorConfig", "integrate",
     "integrate_with_events", "get_model", "vdp_model",
     "repressilator_model", "linear_rotation_model", "LimitCycle",
-    "find_limit_cycle", "resample", "monodromy",
+    "find_limit_cycle", "monodromy",
     "shifted_multipliers_fullstate", "ajl_determinant", "lf_decomposition",
     "complete_graph", "ring_graph", "from_adjacency", "CouplingSpec",
     "simulate_network", "sync_error", "msf_point", "msf_sweep",

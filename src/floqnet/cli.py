@@ -20,6 +20,7 @@ config and seed give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import os
@@ -29,14 +30,12 @@ import time
 
 import numpy as np
 
-from .exceptions import (Blowup, ConfigError, FloqnetError, NumericalError,
-                         StepBudgetExceeded, StepFailure)
-from .floquet import ajl_determinant, lf_decomposition, monodromy, \
-    shifted_multipliers_fullstate
+from . import checks
+from .exceptions import ConfigError, FloqnetError, NumericalError
+from .floquet import ajl_determinant, monodromy
 from .limit_cycle import find_limit_cycle
-from .linalg import determinant, eigenvalues
 from .models import MODEL_NAMES, get_model
-from .msf import default_kappa_grid, msf_sweep, sync_predicate
+from .msf import default_kappa_grid, msf_sweep
 from .network import CouplingSpec, complete_graph, from_adjacency, \
     ring_graph, simulate_network
 from .ode import IntegratorConfig
@@ -144,18 +143,25 @@ def _integrator_from(args, config):
         raise ConfigError(str(exc)) from exc
 
 
+def _vector_from(values, size, what):
+    """Float vector of length ``size`` from a list or an "a,b,..." string."""
+    if isinstance(values, str):
+        values = values.split(",")
+    try:
+        vec = np.asarray(values, dtype=float).ravel()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be a list of numbers") from exc
+    if vec.size != size:
+        raise ConfigError(f"{what} has length {vec.size}, expected {size}")
+    if not np.all(np.isfinite(vec)):
+        raise ConfigError(f"{what} has non-finite entries")
+    return vec
+
+
 def _mask_from(spec, dim):
     if spec is None or spec == "full":
         return np.ones(dim)
-    if isinstance(spec, str):
-        try:
-            spec = [float(tok) for tok in spec.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad mask {spec!r}; use 'full' or e.g. '0,1'") \
-                from exc
-    mask = np.asarray(spec, dtype=float)
-    if mask.shape != (dim,):
-        raise ConfigError(f"mask length {mask.size} != model dimension {dim}")
+    mask = _vector_from(spec, dim, "mask")
     if not np.all((mask == 0) | (mask == 1)):
         raise ConfigError("mask entries must be 0 or 1")
     return mask
@@ -220,9 +226,9 @@ def _cmd_limit_cycle(args):
     cfg = _integrator_from(args, config)
     x0 = None
     if args.x0 is not None:
-        x0 = [float(tok) for tok in args.x0.split(",")]
+        x0 = _vector_from(args.x0, model.dim, "--x0")
     elif config and "initial" in config:
-        x0 = config["initial"]
+        x0 = _vector_from(config["initial"], model.dim, "initial")
     lc = find_limit_cycle(model, x0=x0, cfg=cfg)
 
     out = args.out or "limit_cycle"
@@ -299,6 +305,9 @@ def _cmd_msf(args):
                               "(flags or config 'msf' section)")
         lo, hi = float(section["kappa_min"]), float(section["kappa_max"])
         points = int(section["points"])
+        if points < 1 or not lo >= 0 or (points > 1 and not hi > lo):
+            raise ConfigError("msf sweep needs points >= 1 and 0 <= kappa_min "
+                              f"< kappa_max, got {points}, {lo:g}, {hi:g}")
         spacing = section.get("spacing", "linear")
         if spacing == "linear":
             grid = np.linspace(lo, hi, points)
@@ -357,12 +366,7 @@ def _cmd_simulate(args):
     if "initial" not in config:
         raise ConfigError("config is missing 'initial' "
                           f"(length {graph.n * model.dim} state)")
-    x0 = np.asarray(config["initial"], dtype=float)
-    if x0.size != graph.n * model.dim:
-        raise ConfigError(
-            f"initial has length {x0.size}, expected n*m = "
-            f"{graph.n * model.dim}"
-        )
+    x0 = _vector_from(config["initial"], graph.n * model.dim, "initial")
 
     run = simulate_network(
         model, graph, coupling, x0, float(run_cfg["t_end"]), cfg=cfg,
@@ -394,41 +398,12 @@ def _cmd_simulate(args):
 # ---------------------------------------------------------------------------
 # verify
 
-def _check(name, fn, reports, quick_set=None, quick=False):
-    if quick and quick_set is not None and name not in quick_set:
-        return
-    start = time.perf_counter()
-    try:
-        detail = fn()
-        passed, note = True, (detail or "")
-    except AssertionError as exc:
-        passed, note = False, str(exc)
-    except FloqnetError as exc:
-        passed, note = False, f"{type(exc).__name__}: {exc}"
-    reports.append({"check": name, "passed": passed, "detail": note})
-    status = "pass" if passed else "FAIL"
-    print(f"  [{status}] {name:<38s} ({time.perf_counter() - start:5.1f}s)"
-          f"{'' if passed else '  ' + note}")
-
-
-_QUICK_CHECKS = {
-    "linalg-eig-det-product", "laplacian-spectra", "unity-multiplier-vdp",
-    "shift-law-vdp", "ajl-identity-vdp", "lf-periodicity-vdp",
-    "predicate-vs-simulation-vdp",
-}
-
-
-def verify_all(config=None, quick=False, seed=0, flip_coupling_sign=False):
+def verify_all(config=None, quick=False, seed=0):
     """Run the built-in consistency suite; returns (reports, all_passed).
 
-    Checks: deterministic linear-algebra oracles, the uncoupled multiplier
-    structure, the full-state multiplier shift law, the determinant
-    identity, Lyapunov-Floquet periodicity, spectral-verdict vs direct
-    simulation agreement, and divergence under negative coupling.
-
-    ``flip_coupling_sign`` deliberately corrupts the direct route of the
-    shift-law check (sign of the effective coupling); it exists so the
-    suite can demonstrate it still has teeth.
+    Each row of the table below pairs a measurement from
+    :mod:`floqnet.checks` with the bound it must meet; ``quick`` runs only
+    the rows marked for it.
     """
     if config:
         seed = int(config.get("seed", seed))
@@ -436,166 +411,87 @@ def verify_all(config=None, quick=False, seed=0, flip_coupling_sign=False):
         if "model" in config:
             get_model(config["model"].get("name", ""),
                       config["model"].get("params"))
-    reports = []
-    sign = -1.0 if flip_coupling_sign else 1.0
 
-    def linalg_check():
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(100):
-            dim = int(rng.integers(2, 9))
-            a = rng.standard_normal((dim, dim))
-            rel = abs(np.prod(eigenvalues(a)) - determinant(a)) / \
-                max(abs(determinant(a)), 1e-300)
-            worst = max(worst, rel)
-        assert worst < 1e-8, f"eig-product vs det relative error {worst:.3g}"
-        return f"worst rel {worst:.2e}"
+    @functools.cache
+    def cycle(name):
+        model = get_model(name)
+        return model, find_limit_cycle(model)
 
-    def laplacian_check():
-        for n in (3, 4, 5):
-            eig = complete_graph(n).eigenvalues
-            expected = np.array([0.0] + [float(n)] * (n - 1))
-            err = np.abs(eig - expected).max()
-            assert err < 1e-10, f"complete({n}) spectrum off by {err:.3g}"
-        return "complete(3,4,5) spectra exact to 1e-10"
+    def on(name, check, *args):
+        """The catalogue ``check`` on the cycle of model ``name``."""
+        return lambda: check(*cycle(name), *args)
 
-    _check("linalg-eig-det-product", linalg_check, reports,
-           _QUICK_CHECKS, quick)
-    _check("laplacian-spectra", laplacian_check, reports,
-           _QUICK_CHECKS, quick)
+    def agreement(name, x0, t_end):
+        model, lc = cycle(name)
+        return [checks.predicate_and_simulation(
+                    model, lc, complete_graph(3), 1.0, mask, x0, t_end)
+                for mask in (np.ones(model.dim),
+                             checks.partial_mask(model.dim))]
 
-    cycles = {}
+    def agrees(cases):
+        return all(c.synchronizes == (c.final_error < SYNC_THRESHOLD)
+                   for c in cases)
 
-    def cycle_of(name):
-        if name not in cycles:
-            model = get_model(name)
-            cycles[name] = (model, find_limit_cycle(model))
-        return cycles[name]
+    shift_kappas = (0.5, 1.0) if quick else (0.25, 0.5, 1.0, 2.0)
+    ajl_kappas = (0.0, 1.0) if quick else (0.0, 1.0, 2.0)
+    vdp_x0 = np.array([0., 1., 2., 3., 4., 5.])
+    rep_x0 = np.array([0., 1., 0., 3., 0., 5., 0., 7., 0., 9., 0., 11.,
+                       0., 13., 15., 17., 4., 6.])
 
-    def unity_check(name):
-        def run():
-            model, lc = cycle_of(name)
-            mon = monodromy(model, lc)
-            mods = np.abs(mon.multipliers)
-            near = np.abs(mon.multipliers - 1.0) < 1e-3
-            assert near.sum() == 1, f"{near.sum()} unity multipliers"
-            others = mods[~near]
-            assert np.all(others < 1.0), f"non-unity |mu| {others.max():.6f}"
-            return f"|mu| = {np.array2string(mods, precision=3)}"
-        return run
-
-    def shift_check(name, kappas=(0.25, 0.5, 1.0, 2.0)):
-        def run():
-            model, lc = cycle_of(name)
-            base = monodromy(model, lc)
-            worst = 0.0
-            for kap in kappas:
-                direct = monodromy(model, lc, kappa=sign * kap)
-                predicted = shifted_multipliers_fullstate(base, kap)
-                rel = np.abs(direct.multipliers - predicted) / \
-                    np.abs(predicted)
-                worst = max(worst, float(rel.max()))
-            assert worst < 1e-6, f"shift-law relative error {worst:.3g}"
-            return f"worst rel {worst:.2e}"
-        return run
-
-    def ajl_check(name, kappas=(0.0, 1.0, 2.0)):
-        def run():
-            model, lc = cycle_of(name)
-            partial = np.tile([0.0, 1.0], model.dim // 2)
-            worst = 0.0
-            for kap in kappas:
-                for mask in (np.ones(model.dim), partial):
-                    lhs, rhs = ajl_determinant(model, lc, kappa=kap,
-                                               mask=mask)
-                    worst = max(worst, abs(lhs - rhs) / rhs)
-            assert worst < 1e-6, f"determinant identity error {worst:.3g}"
-            return f"worst rel {worst:.2e}"
-        return run
-
-    def lf_check(name):
-        def run():
-            model, lc = cycle_of(name)
-            lf = lf_decomposition(model, lc)
-            assert lf.periodicity_residual < 1e-4, \
-                f"P(T) residual {lf.periodicity_residual:.3g}"
-            return f"residual {lf.periodicity_residual:.2e}"
-        return run
-
-    def agreement_check(name, x0, t_end):
-        def run():
-            model, lc = cycle_of(name)
-            graph = complete_graph(3)
-            partial = np.tile([0.0, 1.0], model.dim // 2)
-            for mask in (np.ones(model.dim), partial):
-                verdict = sync_predicate(model, lc, graph, 1.0, mask=mask)
-                coupling = CouplingSpec(K=1.0, mask=mask,
-                                        activation_time=20.0)
-                run_ = simulate_network(model, graph, coupling, x0, t_end)
-                empirical = run_.sync.final < SYNC_THRESHOLD
-                assert verdict.synchronizes == empirical, (
-                    f"mask {mask.tolist()}: predicate "
-                    f"{verdict.synchronizes} vs simulation {empirical}"
-                )
-            return "verdict matches simulation, both masks"
-        return run
-
-    def necessity_check():
-        model, lc = cycle_of("vdp")
-        graph = complete_graph(3)
-        verdict = sync_predicate(model, lc, graph, -0.5)
-        assert not verdict.synchronizes, "predicate passed K<0"
-        assert verdict.mu_max[1:].min() > 1.0, \
-            f"transverse mu_max {verdict.mu_max[1:].min():.3g} not > 1"
-        # Direct divergence certificate on a short horizon: the anti-coupled
-        # network becomes stiffer as it diverges, so the run is capped and
-        # any terminal integrator failure counts as detected divergence.
-        coupling = CouplingSpec(K=-0.5, mask=np.ones(2), activation_time=1.0)
-        x0 = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-        try:
-            run_ = simulate_network(
-                model, graph, coupling, x0, 5.0,
-                cfg=IntegratorConfig(max_steps=150_000),
-            )
-            grew = run_.sync.error[-1] > 10 * max(run_.sync.error[0], 1e-12)
-            stays = run_.sync.min_after(2.0) > 0.1
-            assert grew and stays, "sync error decayed under K<0"
-            note = f"error grew to {run_.sync.final:.3g}"
-        except (Blowup, StepFailure, StepBudgetExceeded) as exc:
-            note = f"diverged ({type(exc).__name__})"
-        return "mu_max>1 for all transverse modes; " + note
-
+    # (name, in --quick, measurement, bound on the measurement)
+    table = [
+        ("linalg-eig-det-product", True,
+         lambda: checks.eig_det_product_error(seed), lambda v: v < 1e-8),
+        ("laplacian-spectra", True,
+         lambda: max(map(checks.complete_graph_spectrum_error, (3, 4, 5))),
+         lambda v: v < 1e-10),
+    ]
     for name in ("vdp", "repressilator"):
-        tag = "vdp" if name == "vdp" else "repressilator"
-        _check(f"unity-multiplier-{tag}", unity_check(name), reports,
-               _QUICK_CHECKS, quick)
-        _check(f"shift-law-{tag}", shift_check(
-            name, (0.5, 1.0) if quick else (0.25, 0.5, 1.0, 2.0)),
-            reports, _QUICK_CHECKS, quick)
-        _check(f"ajl-identity-{tag}", ajl_check(
-            name, (0.0, 1.0) if quick else (0.0, 1.0, 2.0)),
-            reports, _QUICK_CHECKS, quick)
+        table += [
+            (f"unity-multiplier-{name}", name == "vdp",
+             on(name, checks.unity_multipliers),
+             lambda r: r.count == 1 and r.max_other < 1.0),
+            (f"shift-law-{name}", name == "vdp",
+             on(name, checks.shift_law_error, shift_kappas),
+             lambda v: v < 1e-6),
+            (f"ajl-identity-{name}", name == "vdp",
+             on(name, checks.determinant_identity_error, ajl_kappas),
+             lambda v: v < 1e-6),
+        ]
+    table += [
+        # P(t) periodicity is checked where double precision can represent
+        # it; the repressilator's transition matrix condition number (~1e19)
+        # puts its residual out of reach of any f64 route (see README).
+        ("lf-periodicity-vdp", True,
+         on("vdp", checks.lf_residual), lambda v: v < 1e-4),
+        ("lf-periodicity-rotation", False,
+         on("linear_rotation", checks.lf_residual), lambda v: v < 1e-4),
+        ("predicate-vs-simulation-vdp", True,
+         lambda: agreement("vdp", vdp_x0, 100.0), agrees),
+        ("predicate-vs-simulation-repressilator", False,
+         lambda: agreement("repressilator", rep_x0, 140.0), agrees),
+        # Every transverse mode unstable, and the error grows tenfold and
+        # stays above 0.1 (or the run ends in an integrator failure).
+        ("necessity-negative-coupling", False,
+         on("vdp", checks.negative_coupling, vdp_x0),
+         lambda r: r.mu_min > 1.0 and r.growth > 10.0 and r.floor > 0.1),
+    ]
 
-    # P(t) periodicity is checked where double precision can represent it;
-    # the repressilator's transition matrix condition number (~1e19) puts
-    # its residual out of reach of any f64 route (see README).
-    _check("lf-periodicity-vdp", lf_check("vdp"), reports,
-           _QUICK_CHECKS, quick)
-    _check("lf-periodicity-rotation", lf_check("linear_rotation"), reports,
-           _QUICK_CHECKS, quick)
-
-    _check("predicate-vs-simulation-vdp",
-           agreement_check("vdp", np.array([0., 1., 2., 3., 4., 5.]), 100.0),
-           reports, _QUICK_CHECKS, quick)
-    _check("predicate-vs-simulation-repressilator",
-           agreement_check(
-               "repressilator",
-               np.array([0., 1., 0., 3., 0., 5., 0., 7., 0., 9., 0., 11.,
-                         0., 13., 15., 17., 4., 6.]), 140.0),
-           reports, _QUICK_CHECKS, quick)
-    _check("necessity-negative-coupling", necessity_check, reports,
-           _QUICK_CHECKS, quick)
-
+    reports = []
+    for name, in_quick, measure, bound in table:
+        if quick and not in_quick:
+            continue
+        start = time.perf_counter()
+        try:
+            value = measure()
+            passed = bool(bound(value))
+            note = format(value, ".3g") if isinstance(value, float) \
+                else str(value)
+        except FloqnetError as exc:
+            passed, note = False, f"{type(exc).__name__}: {exc}"
+        reports.append({"check": name, "passed": passed, "detail": note})
+        print(f"  [{'pass' if passed else 'FAIL'}] {name:<38s} "
+              f"({time.perf_counter() - start:5.1f}s)  {note}")
     return reports, all(r["passed"] for r in reports)
 
 
@@ -603,8 +499,7 @@ def _cmd_verify(args):
     config = load_config(args.config) if args.config else None
     print("floqnet verify" + (" --quick" if args.quick else ""))
     reports, ok = verify_all(config=config, quick=args.quick,
-                             seed=args.seed,
-                             flip_coupling_sign=args.flip_coupling_sign)
+                             seed=args.seed)
     out = args.out or "verify"
     _write_json(out + ".json", {"checks": reports, "all_passed": ok})
     print(f"{sum(r['passed'] for r in reports)}/{len(reports)} checks passed")
@@ -663,8 +558,6 @@ def _build_parser():
     p.add_argument("--quick", action="store_true",
                    help="subset of checks that completes in ~15 s")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--flip-coupling-sign", action="store_true",
-                   help=argparse.SUPPRESS)  # mutation sanity hook
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -84,10 +84,6 @@ class Monodromy:
     period: float
     det: float
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class LFDecomposition:
@@ -203,8 +199,7 @@ def _cyclic_multipliers(factors):
 
 
 def monodromy(model: OscillatorModel, lc: LimitCycle, kappa: float = 0.0,
-              mask=None, cfg: IntegratorConfig | None = None,
-              segments: int | None = None) -> Monodromy:
+              mask=None, cfg: IntegratorConfig | None = None) -> Monodromy:
     """Monodromy of the variational system [Df(x_s) - kappa*DH] along the
     cycle, from the identity, over exactly one period.
 
@@ -216,8 +211,7 @@ def monodromy(model: OscillatorModel, lc: LimitCycle, kappa: float = 0.0,
     anchor within 1e-4 relative.
     """
     mask_v = _resolve_mask(mask, model.dim)
-    stack, _, _ = variational_factors(model, lc, [kappa], mask_v, cfg,
-                                      segments)
+    stack, _, _ = variational_factors(model, lc, [kappa], mask_v, cfg)
     factors = stack[0]
     phi = factors[0]
     for a in factors[1:]:
@@ -234,8 +228,7 @@ def monodromy(model: OscillatorModel, lc: LimitCycle, kappa: float = 0.0,
     )
 
 
-def shifted_multipliers_fullstate(base: Monodromy, kappa: float,
-                                  period: float | None = None) -> np.ndarray:
+def shifted_multipliers_fullstate(base: Monodromy, kappa: float) -> np.ndarray:
     """Full-state (DH = I) multipliers at effective coupling ``kappa``,
     predicted from an uncoupled monodromy: every multiplier scales by
     exp(-kappa*T).
@@ -246,14 +239,12 @@ def shifted_multipliers_fullstate(base: Monodromy, kappa: float,
     """
     if base.kappa != 0.0:
         raise ValueError("shift law requires a base monodromy at kappa=0")
-    t = base.period if period is None else float(period)
-    return base.multipliers * np.exp(-float(kappa) * t)
+    return base.multipliers * np.exp(-float(kappa) * base.period)
 
 
 def ajl_determinant(model: OscillatorModel, lc: LimitCycle,
                     kappa: float = 0.0, mask=None, t: float | None = None,
-                    cfg: IntegratorConfig | None = None,
-                    segments: int | None = None):
+                    cfg: IntegratorConfig | None = None):
     """Both sides of the transition-matrix determinant identity at time
     ``t`` in [0, T]:
 
@@ -272,7 +263,7 @@ def ajl_determinant(model: OscillatorModel, lc: LimitCycle,
     if t_end == 0.0:
         return 1.0, 1.0
 
-    p_full = _n_segments(model.dim, segments)
+    p_full = _n_segments(model.dim)
     p = max(1, int(np.ceil(p_full * t_end / lc.period)))
     factors, _, trace_integral = variational_factors(
         model, lc, [kappa], mask_v, cfg, p, t_end=t_end, with_trace=True)

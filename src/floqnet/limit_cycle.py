@@ -5,14 +5,12 @@ Strategy: integrate past the transient, pick a Poincare section through the
 coordinate with the largest swing (robust when some states barely move,
 e.g. repressilator mRNAs), collect upward section returns, and average the
 last few return gaps for the period.  The final cycle is re-integrated from
-the last (most converged) section point and stored as uniform-phase samples
-with the vector field at each sample, giving a C1 cubic Hermite interpolant
-that is 4th-order accurate in the sample spacing.
+the last (most converged) section point and stored as uniform-phase
+samples.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +18,7 @@ from .exceptions import FixedPointConvergence, NoCrossings, NotPeriodic
 from .models import OscillatorModel
 from .ode import IntegratorConfig, _consume, _final_state, integrate
 
-__all__ = ["LimitCycle", "find_limit_cycle", "resample"]
+__all__ = ["LimitCycle", "find_limit_cycle"]
 
 # Relative contraction demanded of successive section returns, and of the
 # cycle closure ||x(T) - x(0)|| / ||x(0)||.
@@ -36,66 +34,19 @@ _MIN_CROSSINGS = 8
 class LimitCycle:
     """A periodic orbit: period, anchor state, and uniform-phase samples.
 
-    ``samples[k]`` approximates the orbit at time ``times[k] = k*T/N`` past
-    the anchor; ``derivs[k]`` is the vector field there.  ``eval`` wraps its
-    argument modulo the period.
+    ``samples[k]`` is the orbit at time ``times[k] = k*T/N`` past the
+    anchor, taken from the dense output of one integration over a period.
     """
 
     period: float
     anchor: np.ndarray
     times: np.ndarray
     samples: np.ndarray
-    derivs: np.ndarray
     closure_residual: float
-    field: Callable[[np.ndarray], np.ndarray] = dc_field(repr=False, default=None)
-
-    @property
-    def dim(self):
-        return self.samples.shape[1]
 
     @property
     def n_samples(self):
         return self.samples.shape[0]
-
-    def eval(self, t):
-        """Cubic Hermite evaluation at scalar or array ``t`` (mod period)."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        n = self.n_samples
-        h = self.period / n
-        phase = np.mod(t_arr, self.period)
-        idx = np.minimum((phase / h).astype(int), n - 1)
-        theta = (phase - idx * h) / h
-        j = (idx + 1) % n
-        x0, x1 = self.samples[idx], self.samples[j]
-        d0, d1 = self.derivs[idx], self.derivs[j]
-        th = theta[:, None]
-        h00 = 2 * th**3 - 3 * th**2 + 1
-        h10 = th**3 - 2 * th**2 + th
-        h01 = -2 * th**3 + 3 * th**2
-        h11 = th**3 - th**2
-        out = h00 * x0 + h * h10 * d0 + h01 * x1 + h * h11 * d1
-        return out[0] if np.isscalar(t) or np.asarray(t).ndim == 0 else out
-
-    def resample(self, count):
-        return resample(self, count)
-
-
-def resample(lc: LimitCycle, count: int) -> LimitCycle:
-    """Uniform-phase resample of a cycle; the period is unchanged.
-
-    Positions come from the cycle interpolant; derivatives are re-evaluated
-    exactly through the stored vector field.
-    """
-    if count < 64:
-        raise ValueError(f"resample count must be >= 64, got {count}")
-    times = np.arange(count) * (lc.period / count)
-    samples = lc.eval(times)
-    derivs = np.array([lc.field(s) for s in samples])
-    return LimitCycle(
-        period=lc.period, anchor=lc.anchor.copy(), times=times,
-        samples=samples, derivs=derivs,
-        closure_residual=lc.closure_residual, field=lc.field,
-    )
 
 
 def _relaxed(cfg: IntegratorConfig) -> IntegratorConfig:
@@ -213,9 +164,7 @@ def _attempt(model, x_start, transient, cfg, n_samples):
         )
 
     times = np.arange(n_samples) * (period / n_samples)
-    samples = one_period.eval(times)
-    derivs = np.array([f(s) for s in samples])
     return LimitCycle(
-        period=period, anchor=anchor.copy(), times=times, samples=samples,
-        derivs=derivs, closure_residual=closure, field=f,
+        period=period, anchor=anchor.copy(), times=times,
+        samples=one_period.eval(times), closure_residual=closure,
     )

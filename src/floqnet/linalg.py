@@ -1,5 +1,5 @@
-"""Small dense matrix operations: eigenvalues, determinant, Kronecker
-product, principal matrix logarithm, matrix exponential.
+"""Small dense matrix operations: eigenvalues, determinant, principal
+matrix logarithm, matrix exponential.
 
 Everything here targets the tiny matrices this package works with
 (oscillator dimension <= 10, network size <= 20).  Eigenvalues and
@@ -20,7 +20,6 @@ import numpy as np
 from .exceptions import NonConvergence, NonDiagonalizable, SingularInput
 
 __all__ = [
-    "kron",
     "eigenvalues",
     "sort_spectrum",
     "determinant",
@@ -35,29 +34,13 @@ _MAX_EIG_DIM = 64
 DIAGONALIZABILITY_COND_LIMIT = 1e8
 
 
-def _as_matrix(m, name="matrix"):
+def _as_square(m):
     a = np.asarray(m)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or (
-        np.iscomplexobj(a) and not np.all(np.isfinite(a.imag))
-    ):
-        raise ValueError(f"{name} has non-finite entries")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
     return a
-
-
-def _as_square(m, name="matrix"):
-    a = _as_matrix(m, name)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    return a
-
-
-def kron(a, b):
-    """Kronecker product: block (i, j) of the result is a[i, j] * b."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    return np.kron(a, b)
 
 
 def sort_spectrum(values):

@@ -80,10 +80,6 @@ class SyncVerdict:
     lambdas: np.ndarray
     mu_max: np.ndarray
 
-    @property
-    def per_mode(self):
-        return list(zip(self.lambdas.tolist(), self.mu_max.tolist()))
-
 
 def _point(kappa: float, multipliers) -> MsfPoint:
     mods = np.abs(multipliers)
@@ -148,7 +144,7 @@ def sync_predicate(model: OscillatorModel, lc: LimitCycle, graph: GraphSpec,
     Raises :class:`DisconnectedGraph` when lambda_2 <= 1e-10.
     """
     lambdas = graph.eigenvalues
-    if lambdas[1] <= 1e-10:
+    if not graph.is_connected:
         raise DisconnectedGraph(
             f"algebraic connectivity {lambdas[1]:.3g} <= 1e-10; "
             "the graph must be connected"

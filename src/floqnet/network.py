@@ -18,7 +18,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatch, InvalidAdjacency
 from .models import OscillatorModel
-from .ode import IntegratorConfig, Trajectory, integrate
+from .ode import IntegratorConfig, integrate
 
 __all__ = [
     "GraphSpec",
@@ -46,13 +46,9 @@ class GraphSpec:
     eigenvalues: np.ndarray
 
     @property
-    def lambda2(self):
-        """Algebraic connectivity; positive iff the graph is connected."""
-        return float(self.eigenvalues[1])
-
-    @property
     def is_connected(self):
-        return self.lambda2 > _SYM_TOL
+        """Whether the algebraic connectivity lambda_2 is positive."""
+        return bool(self.eigenvalues[1] > _SYM_TOL)
 
 
 @dataclass(frozen=True)
@@ -82,10 +78,6 @@ class SyncSeries:
     times: np.ndarray
     error: np.ndarray
 
-    def max_after(self, t):
-        sel = self.times >= t
-        return float(self.error[sel].max()) if sel.any() else float("nan")
-
     def min_after(self, t):
         sel = self.times >= t
         return float(self.error[sel].min()) if sel.any() else float("nan")
@@ -100,15 +92,8 @@ class NetworkRun:
     """Result of a network simulation on a uniform output grid."""
 
     times: np.ndarray
-    states: np.ndarray  # (n_points, n*m)
+    states: np.ndarray  # (n_points, n*m), node-major
     sync: SyncSeries
-    n: int
-    m: int
-    trajectories: tuple[Trajectory, ...]
-
-    def node_states(self, i):
-        """States of node i, shape (n_points, m)."""
-        return self.states[:, i * self.m:(i + 1) * self.m]
 
 
 def _graph_from_laplacian(lap):
@@ -235,21 +220,20 @@ def simulate_network(model: OscillatorModel, graph: GraphSpec,
     )
     coupled = assemble_coupled_field(model, graph, coupling)
 
-    trajectories = []
+    times = np.linspace(0.0, float(t_end), output_points)
+    on = times >= t_on
+    states = np.empty((output_points, n * m))
+    x_on = x0
     if t_on > 0:
         phase1 = integrate(uncoupled, x0, (0.0, t_on), cfg)
-        trajectories.append(phase1)
+        states[~on] = _sample(phase1, times[~on])
         x_on = phase1.states[-1]
-    else:
-        x_on = x0
     phase2 = integrate(coupled, x_on, (t_on, float(t_end)), cfg)
-    trajectories.append(phase2)
-
-    times = np.linspace(0.0, float(t_end), output_points)
-    states = np.empty((output_points, n * m))
-    for i, t in enumerate(times):
-        traj = trajectories[0] if (t < t_on and t_on > 0) else trajectories[-1]
-        states[i] = traj.eval(min(max(t, traj.t0), traj.t1))
+    states[on] = _sample(phase2, times[on])
     sync = sync_error(times, states, n, m)
-    return NetworkRun(times=times, states=states, sync=sync, n=n, m=m,
-                      trajectories=tuple(trajectories))
+    return NetworkRun(times=times, states=states, sync=sync)
+
+
+def _sample(traj, times):
+    # The last node time may round off the requested end of the span.
+    return traj.eval(np.clip(times, traj.times[0], traj.times[-1]))

@@ -2,7 +2,7 @@
 
 A single, hard-validated integrator: the Dormand-Prince 5(4) embedded pair
 with its free 4th-order continuous extension, FSAL, and a PI-free standard
-step controller.  A fixed-step RK4 is provided for cross-checks.
+step controller.
 
 The solver handles autonomous vector fields only (``field(x) -> dx/dt``),
 which is all this package needs; time-dependence such as coupling
@@ -23,7 +23,7 @@ import numpy as np
 from .exceptions import Blowup, OutOfRange, StepBudgetExceeded, StepFailure
 
 __all__ = ["IntegratorConfig", "Trajectory", "integrate",
-           "integrate_with_events", "rk4_fixed", "BLOWUP_LIMIT"]
+           "integrate_with_events", "BLOWUP_LIMIT"]
 
 # Divergence guard: large enough to let genuinely unstable runs be seen
 # growing, small enough to stop well before overflow pollutes the step
@@ -90,39 +90,26 @@ class Trajectory:
         self.states = np.asarray(states, dtype=float)
         self._rcont = rcont  # (n_steps, 5, *state shape)
 
-    @property
-    def t0(self):
-        return self.times[0]
-
-    @property
-    def t1(self):
-        return self.times[-1]
-
-    def __len__(self):
-        return len(self.times)
-
-    def _eval_scalar(self, t):
-        if t < self.times[0] or t > self.times[-1]:
-            raise OutOfRange(
-                f"t={t} outside integrated span "
-                f"[{self.times[0]}, {self.times[-1]}]"
-            )
-        idx = np.searchsorted(self.times, t)
-        if idx < len(self.times) and self.times[idx] == t:
-            return self.states[idx].copy()
-        step = idx - 1
-        t_lo, t_hi = self.times[step], self.times[step + 1]
-        return _dense_eval(self._rcont[step], (t - t_lo) / (t_hi - t_lo))
-
     def eval(self, t):
         """Dense evaluation at scalar or array ``t`` within the span."""
         t_arr = np.asarray(t, dtype=float)
-        if t_arr.ndim == 0:
-            return self._eval_scalar(float(t_arr))
-        out = np.empty((t_arr.size,) + self.states.shape[1:])
-        for i, ti in enumerate(t_arr.ravel()):
-            out[i] = self._eval_scalar(float(ti))
-        return out
+        flat = t_arr.ravel()
+        inside = (flat >= self.times[0]) & (flat <= self.times[-1])
+        if not inside.all():
+            raise OutOfRange(
+                f"t={flat[~inside][0]} outside integrated span "
+                f"[{self.times[0]}, {self.times[-1]}]"
+            )
+        # times[idx - 1] < t <= times[idx]; t == times[0] gives idx = 0.
+        idx = np.searchsorted(self.times, flat)
+        step = np.maximum(idx - 1, 0)
+        t_lo, t_hi = self.times[step], self.times[step + 1]
+        theta = ((flat - t_lo) / (t_hi - t_lo)).reshape(
+            (-1,) + (1,) * (self.states.ndim - 1))
+        out = _dense_eval(np.moveaxis(self._rcont[step], 1, 0), theta)
+        exact = self.times[idx] == flat
+        out[exact] = self.states[idx[exact]]
+        return out[0] if t_arr.ndim == 0 else out
 
 
 def _rms(v):
@@ -318,26 +305,3 @@ def _final_state(field, x0, t_span, cfg):
     for _, _, _, y_new, _ in _integrate_core(field, x0, t_span, cfg):
         pass
     return y_new.reshape(np.shape(x0))
-
-
-def rk4_fixed(field, x0, t_span, n_steps):
-    """Classical fixed-step RK4, for cross-checking the adaptive solver.
-
-    Returns ``(times, states)`` arrays.
-    """
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not (t1 > t0 and n_steps > 0):
-        raise ValueError("need t1 > t0 and n_steps > 0")
-    h = (t1 - t0) / n_steps
-    y = np.asarray(x0, dtype=float).copy()
-    times = np.linspace(t0, t1, n_steps + 1)
-    states = np.empty((n_steps + 1, y.size))
-    states[0] = y
-    for i in range(n_steps):
-        k1 = field(y)
-        k2 = field(y + 0.5 * h * k1)
-        k3 = field(y + 0.5 * h * k2)
-        k4 = field(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        states[i + 1] = y
-    return times, states

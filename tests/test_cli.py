@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from floqnet import checks
 from floqnet.cli import load_config, run_subcommand
 from floqnet.exceptions import ConfigError
+from floqnet.floquet import monodromy
 
 SHIPPED_CONFIGS = ["fig1_msf.json", "fig2_full.json", "fig2_partial.json",
                    "fig3_full.json", "fig3_partial.json"]
@@ -39,6 +41,24 @@ class TestLimitCycleCommand:
         assert run_subcommand(["limit-cycle", "--model", "vdp",
                                "--param", "mu=-1"]) == 2
         assert "mu" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit-cycle", "--model", "vdp", "--x0", "1,a"],
+    ["limit-cycle", "--model", "vdp", "--x0", "1,2,3"],
+    ["msf", "--model", "vdp", "--kappa-min", "0.5", "--kappa-max", "2",
+     "--points", "0"],
+    ["msf", "--model", "vdp", "--kappa-min", "2", "--kappa-max", "1",
+     "--points", "3"],
+    ["msf", "--model", "vdp", "--kappa-min", "-1", "--kappa-max", "1",
+     "--points", "3"],
+], ids=["x0-not-a-number", "x0-wrong-length", "msf-no-points",
+        "msf-decreasing-grid", "msf-negative-kappa"])
+def test_bad_input_is_config_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_subcommand(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 class TestFloquetCommand:
@@ -183,9 +203,13 @@ class TestVerifyCommand:
         assert all(check["passed"] for check in report["checks"])
 
     def test_injected_sign_flip_fails(self, tmp_path, monkeypatch):
+        # The direct route of the shift law integrates at -kappa.
+        def flipped(model, lc, kappa=0.0, **kwargs):
+            return monodromy(model, lc, kappa=-kappa, **kwargs)
+
+        monkeypatch.setattr(checks, "monodromy", flipped)
         monkeypatch.chdir(tmp_path)
-        rc = run_subcommand(["verify", "--quick", "--flip-coupling-sign",
-                             "--out", "broken"])
+        rc = run_subcommand(["verify", "--quick", "--out", "broken"])
         assert rc == 1
         report = json.loads((tmp_path / "broken.json").read_text())
         failed = {c["check"] for c in report["checks"] if not c["passed"]}

@@ -1,12 +1,11 @@
 """Tests for limit-cycle location: periods against independent reference
-oracles, closure quality, interpolation defect scaling, and the failure
-taxonomy."""
+oracles, closure quality, and the failure taxonomy."""
 import numpy as np
 import pytest
 
 from floqnet.exceptions import FixedPointConvergence, NoCrossings, \
     NotPeriodic
-from floqnet.limit_cycle import find_limit_cycle, resample
+from floqnet.limit_cycle import find_limit_cycle
 from floqnet.models import OscillatorModel, vdp_model
 from floqnet.ode import IntegratorConfig, _consume, integrate, \
     integrate_with_events
@@ -48,7 +47,7 @@ class TestVdpCycle:
 
     def test_period_independent_of_anchor_phase(self, vdp, vdp_cycle):
         # start from a mid-cycle state: different section point, same orbit
-        x_mid = vdp_cycle.eval(vdp_cycle.period / 3.0)
+        x_mid = vdp_cycle.samples[vdp_cycle.n_samples // 3]
         rebuilt = find_limit_cycle(vdp, x0=x_mid)
         assert rebuilt.period == pytest.approx(vdp_cycle.period, rel=1e-8)
 
@@ -74,43 +73,6 @@ class TestStreamedSearch:
         for (t_s, x_s), (t_c, x_c) in zip(streamed, collected):
             assert t_s == t_c
             assert np.array_equal(x_s, x_c)
-
-
-class TestEvalAndResample:
-    def test_eval_wraps_periodically(self, vdp_cycle):
-        t = 1.234
-        a = vdp_cycle.eval(t)
-        b = vdp_cycle.eval(t + 3 * vdp_cycle.period)
-        assert np.abs(a - b).max() < 1e-12
-
-    def test_resample_same_count_identity(self, vdp_cycle):
-        again = resample(vdp_cycle, vdp_cycle.n_samples)
-        assert np.abs(again.samples - vdp_cycle.samples).max() < 1e-9
-        assert again.period == vdp_cycle.period
-
-    def test_resample_rotation_unit_circle(self, rotation_cycle):
-        dense = resample(rotation_cycle, 1024)
-        radii = np.linalg.norm(dense.samples, axis=1)
-        assert np.abs(radii - 1.0).max() < 1e-6
-
-    def test_doubling_count_at_least_halves_defect(self, vdp, vdp_cycle):
-        # defect against direct integration from the anchor
-        ref = integrate(vdp.field, vdp_cycle.anchor,
-                        (0.0, vdp_cycle.period),
-                        IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14))
-        probe = np.linspace(0.0, vdp_cycle.period, 701)[:-1]
-        exact = ref.eval(probe)
-
-        def defect(count):
-            coarse = resample(vdp_cycle, count)
-            return np.abs(coarse.eval(probe) - exact).max()
-
-        d64, d128 = defect(64), defect(128)
-        assert d128 <= d64 / 2  # cubic Hermite: ~16x per doubling
-
-    def test_resample_count_floor(self, vdp_cycle):
-        with pytest.raises(ValueError):
-            resample(vdp_cycle, 32)
 
 
 class TestFailureModes:

@@ -3,24 +3,12 @@ import numpy as np
 import pytest
 
 from floqnet.exceptions import NonDiagonalizable, SingularInput
-from floqnet.linalg import determinant, eigenvalues, expm, kron, \
-    log_principal, sort_spectrum
+from floqnet.linalg import determinant, eigenvalues, expm, log_principal, \
+    sort_spectrum
 
 EQ13_LAPLACIAN = np.array([[2.0, -1.0, -1.0],
                            [-1.0, 2.0, -1.0],
                            [-1.0, -1.0, 2.0]])
-
-
-def brute_force_kron(a, b):
-    pa, ra = a.shape
-    qb, sb = b.shape
-    out = np.zeros((pa * qb, ra * sb), dtype=np.result_type(a, b))
-    for i in range(pa):
-        for j in range(ra):
-            for k in range(qb):
-                for l in range(sb):
-                    out[i * qb + k, j * sb + l] = a[i, j] * b[k, l]
-    return out
 
 
 def cofactor_det(a):
@@ -32,40 +20,6 @@ def cofactor_det(a):
         minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
         total += (-1.0) ** j * a[0, j] * cofactor_det(minor)
     return total
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_block_permutation(self):
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        result = kron(swap, np.eye(2))
-        expected = np.zeros((4, 4))
-        expected[:2, 2:] = np.eye(2)
-        expected[2:, :2] = np.eye(2)
-        assert np.array_equal(result, expected)
-
-    def test_matches_elementwise_definition(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((3, 3))
-        b = rng.standard_normal((2, 2))
-        assert np.allclose(kron(a, b), brute_force_kron(a, b), atol=1e-14)
-
-    def test_mixed_product_property(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = rng.standard_normal((3, 2))
-            b = rng.standard_normal((2, 4))
-            c = rng.standard_normal((2, 3))
-            d = rng.standard_normal((4, 2))
-            lhs = kron(a, b) @ kron(c, d)
-            rhs = kron(a @ c, b @ d)
-            assert np.abs(lhs - rhs).max() < 1e-10
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            kron(np.array([[np.inf]]), np.eye(2))
 
 
 class TestEigenvalues:

@@ -129,7 +129,7 @@ class TestSyncPredicate:
         graph = complete_graph(4)
         k = 0.7
         verdict = sync_predicate(vdp, vdp_cycle, graph, k)
-        for lam, mu in verdict.per_mode[1:]:
+        for lam, mu in zip(verdict.lambdas[1:], verdict.mu_max[1:]):
             assert mu == pytest.approx(np.exp(-k * lam * vdp_cycle.period),
                                        rel=1e-6)
 
@@ -154,7 +154,7 @@ class TestSyncPredicate:
         assert len(calls) == 2
         assert verdict.synchronizes
         assert verdict.mu_max[0] == pytest.approx(VDP_MU2_REF, rel=1e-6)
-        for lam, mu in verdict.per_mode[1:]:
+        for lam, mu in zip(verdict.lambdas[1:], verdict.mu_max[1:]):
             assert mu == pytest.approx(np.exp(-k * lam * vdp_cycle.period),
                                        rel=1e-6)
 

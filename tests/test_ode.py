@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from floqnet.exceptions import Blowup, OutOfRange, StepBudgetExceeded
-from floqnet.ode import IntegratorConfig, _final_state, integrate, \
-    integrate_with_events, rk4_fixed
+from floqnet.ode import IntegratorConfig, _dense_eval, _final_state, \
+    integrate, integrate_with_events
 
 
 def harmonic(x):
@@ -90,7 +90,7 @@ class TestBatchedRows:
         t_end = 5.0
         x0 = np.tile([1.0, 0.0], (omega.size, 1))
         traj = integrate(rotations, x0, (0.0, t_end))
-        assert traj.states.shape == (len(traj), omega.size, 2)
+        assert traj.states.shape == (traj.times.size, omega.size, 2)
         row_err = np.abs(traj.states[-1] - exact(t_end)).max(axis=1)
         for w, err in zip(omega, row_err):
             alone = integrate(lambda x, w=w: w * np.array([x[1], -x[0]]),
@@ -105,8 +105,31 @@ class TestBatchedRows:
 class TestDenseOutput:
     def test_node_times_exact(self):
         traj = integrate(harmonic, [1.0, 0.0], (0.0, 3.0))
-        for k in (0, len(traj) // 2, len(traj) - 1):
+        for k in (0, traj.times.size // 2, traj.times.size - 1):
             assert np.array_equal(traj.eval(traj.times[k]), traj.states[k])
+        assert np.array_equal(traj.eval(traj.times), traj.states)
+
+    @pytest.mark.parametrize("x0", [[2.0, 0.0], [[2.0, 0.0], [0.5, -1.0]]])
+    def test_array_eval_matches_per_point_polynomial(self, x0):
+        # One array call gives, bit for bit, each point's own step
+        # polynomial, or the stored state at a node time.
+        traj = integrate(lambda x: np.stack([x[..., 1], (1 - x[..., 0] ** 2)
+                                             * x[..., 1] - x[..., 0]], -1),
+                         x0, (0.0, 10.0))
+        ts = np.concatenate([np.linspace(0.0, traj.times[-1], 301),
+                             traj.times[1:4]])
+        expected = []
+        for t in ts:
+            k = np.searchsorted(traj.times, t)
+            if traj.times[k] == t:
+                expected.append(traj.states[k])
+            else:
+                t_lo, t_hi = traj.times[k - 1], traj.times[k]
+                expected.append(_dense_eval(traj._rcont[k - 1],
+                                            (t - t_lo) / (t_hi - t_lo)))
+        assert np.array_equal(traj.eval(ts), np.array(expected))
+        assert all(np.array_equal(traj.eval(t), e)
+                   for t, e in zip(ts, expected))
 
     def test_constant_midpoint(self):
         traj = integrate(lambda x: np.zeros(1), [4.0], (0.0, 2.0))
@@ -119,19 +142,20 @@ class TestDenseOutput:
 
     def test_out_of_range(self):
         traj = integrate(harmonic, [1.0, 0.0], (0.0, 1.0))
-        with pytest.raises(OutOfRange):
-            traj.eval(1.5)
+        for t in (1.5, [0.5, 1.5], [-0.1, 0.5]):
+            with pytest.raises(OutOfRange):
+                traj.eval(t)
 
     def test_matches_restarted_integration(self):
         cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11)
         traj = integrate(vdp_field, [2.0, 0.0], (0.0, 10.0), cfg)
-        k = len(traj) // 2
+        k = traj.times.size // 2
         t_mid = 0.5 * (traj.times[k] + traj.times[k + 1])
         restart = integrate(vdp_field, traj.states[k],
                             (traj.times[k], traj.times[k] + 1.0), cfg)
         err = np.abs(traj.eval(t_mid) - restart.eval(t_mid)).max()
         scale = np.abs(traj.eval(t_mid)).max()
-        assert err < 10 * (cfg.abs_tol + cfg.rel_tol * scale) * len(traj)
+        assert err < 10 * (cfg.abs_tol + cfg.rel_tol * scale) * traj.times.size
 
     def test_tolerance_monotonicity(self):
         ref = integrate(vdp_field, [2.0, 0.0], (0.0, 20.0),
@@ -193,6 +217,29 @@ class TestEvents:
     def test_requires_event(self):
         with pytest.raises(ValueError):
             integrate_with_events(harmonic, [1.0, 0.0], (0.0, 1.0))
+
+
+def rk4_fixed(field, x0, t_span, n_steps):
+    """Classical fixed-step RK4, the oracle for the adaptive solver.
+
+    Returns ``(times, states)`` arrays.
+    """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (t1 > t0 and n_steps > 0):
+        raise ValueError("need t1 > t0 and n_steps > 0")
+    h = (t1 - t0) / n_steps
+    y = np.asarray(x0, dtype=float).copy()
+    times = np.linspace(t0, t1, n_steps + 1)
+    states = np.empty((n_steps + 1, y.size))
+    states[0] = y
+    for i in range(n_steps):
+        k1 = field(y)
+        k2 = field(y + 0.5 * h * k1)
+        k3 = field(y + 0.5 * h * k2)
+        k4 = field(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        states[i + 1] = y
+    return times, states
 
 
 class TestRK4Fixed:
