@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .exceptions import ClosureDrift
+from .exceptions import ClosureDrift, DimensionMismatch, InvalidParam
 from .limit_cycle import LimitCycle
 from .models import OscillatorModel
 from .ode import IntegratorConfig, _final_state, integrate
@@ -53,9 +53,9 @@ def _resolve_mask(mask, dim):
         return np.ones(dim)
     m = np.asarray(mask, dtype=float).ravel()
     if m.shape != (dim,):
-        raise ValueError(f"mask must have length {dim}, got {m.shape}")
+        raise DimensionMismatch(f"mask must have length {dim}, got {m.shape}")
     if not np.all((m == 0.0) | (m == 1.0)):
-        raise ValueError("mask entries must be 0 or 1")
+        raise DimensionMismatch("mask entries must be 0 or 1")
     return m
 
 
@@ -238,7 +238,7 @@ def shifted_multipliers_fullstate(base: Monodromy, kappa: float) -> np.ndarray:
     against.
     """
     if base.kappa != 0.0:
-        raise ValueError("shift law requires a base monodromy at kappa=0")
+        raise InvalidParam("shift law requires a base monodromy at kappa=0")
     return base.multipliers * np.exp(-float(kappa) * base.period)
 
 
@@ -259,7 +259,7 @@ def ajl_determinant(model: OscillatorModel, lc: LimitCycle,
     mask_v = _resolve_mask(mask, model.dim)
     t_end = lc.period if t is None else float(t)
     if not 0.0 <= t_end <= lc.period * (1 + 1e-12):
-        raise ValueError(f"t must lie in [0, T], got {t_end}")
+        raise InvalidParam(f"t must lie in [0, T], got {t_end}")
     if t_end == 0.0:
         return 1.0, 1.0
 

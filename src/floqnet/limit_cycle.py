@@ -1,33 +1,36 @@
 """Locate the attracting periodic orbit of an oscillator and package it as
 a reusable sampled cycle.
 
-Strategy: integrate past the transient, pick a Poincare section through the
-coordinate with the largest swing (robust when some states barely move,
-e.g. repressilator mRNAs), collect upward section returns, and average the
-last few return gaps for the period.  The final cycle is re-integrated from
-the last (most converged) section point and stored as uniform-phase
-samples.
+Strategy: settle past the transient, scout one window to pick a Poincare
+section through the coordinate with the largest swing (robust when some
+states barely move, e.g. repressilator mRNAs), then stream upward section
+returns at full accuracy until the returns the period average spans agree.
+The final cycle is re-integrated from the last (most converged) return
+and stored as uniform-phase samples.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .exceptions import FixedPointConvergence, NoCrossings, NotPeriodic
 from .models import OscillatorModel
-from .ode import IntegratorConfig, _consume, _final_state, integrate
+from .ode import IntegratorConfig, _final_state, _integrate_core, \
+    _section_crossings, integrate
 
 __all__ = ["LimitCycle", "find_limit_cycle"]
 
-# Relative contraction demanded of successive section returns, and of the
-# cycle closure ||x(T) - x(0)|| / ||x(0)||.
+# Relative agreement demanded of the section returns the period average
+# spans, and of the cycle closure ||x(T) - x(0)|| / ||x(0)||.
 CLOSURE_TOL = 1e-6
 
 _SCOUT_WINDOW = 60.0
-_MAX_WINDOW_DOUBLINGS = 4
-_MAX_TRANSIENT_RETRIES = 3
+# Time the return stream may run past the scout leg before giving up.
+_STREAM_BUDGET = 16 * _SCOUT_WINDOW
 _MIN_CROSSINGS = 8
+# Section returns the period average spans (their last five gaps).
+_AVERAGED_RETURNS = 6
 
 
 @dataclass(frozen=True)
@@ -59,6 +62,14 @@ def _relaxed(cfg: IntegratorConfig) -> IntegratorConfig:
     )
 
 
+def _return_drift(states):
+    """Relative distance between the last section return and the first of
+    the returns the period average spans."""
+    first, last = states[-min(len(states), _AVERAGED_RETURNS)], states[-1]
+    return float(np.linalg.norm(last - first)
+                 / max(np.linalg.norm(first), 1e-300))
+
+
 def find_limit_cycle(model: OscillatorModel, x0=None,
                      cfg: IntegratorConfig | None = None,
                      n_samples: int = 512) -> LimitCycle:
@@ -73,41 +84,22 @@ def find_limit_cycle(model: OscillatorModel, x0=None,
     FixedPointConvergence
         Post-transient oscillation amplitude below 1e-6.
     NoCrossings
-        The Poincare-section event never fired within the search budget.
+        The section was never crossed upward within the search budget.
     NotPeriodic
-        Section returns failed to contract below 1e-6 (relative) even
-        after doubling the transient up to 3 times.
+        Fewer than two section returns, returns that did not agree within
+        1e-6 (relative), or a closure residual of 1e-6 or more.
     """
     cfg = cfg or IntegratorConfig()
-    x_start = np.asarray(
-        model.default_initial if x0 is None else x0, dtype=float
-    )
-    transient = float(model.transient_hint)
-    last_error: Exception | None = None
-
-    for _ in range(1 + _MAX_TRANSIENT_RETRIES):
-        try:
-            return _attempt(model, x_start, transient, cfg, n_samples)
-        except (FixedPointConvergence, NoCrossings):
-            raise
-        except NotPeriodic as exc:
-            last_error = exc
-            transient = 2.0 * transient if transient > 0 else _SCOUT_WINDOW
-    raise last_error
-
-
-def _attempt(model, x_start, transient, cfg, n_samples):
     f = model.field
     relaxed = _relaxed(cfg)
 
-    x_settled = x_start
-    if transient > 0:
-        x_settled = _final_state(f, x_start, (0.0, transient), relaxed)
+    x = np.asarray(model.default_initial if x0 is None else x0, dtype=float)
+    if model.transient_hint > 0:
+        x = _final_state(f, x, (0.0, model.transient_hint), relaxed)
 
     # Scout pass: choose the section coordinate and level.
-    scout = integrate(f, x_settled, (0.0, _SCOUT_WINDOW), relaxed)
-    grid = np.linspace(0.0, _SCOUT_WINDOW, 1025)
-    xs = scout.eval(grid)
+    scout = integrate(f, x, (0.0, _SCOUT_WINDOW), relaxed)
+    xs = scout.eval(np.linspace(0.0, _SCOUT_WINDOW, 1025))
     amplitude = xs.max(axis=0) - xs.min(axis=0)
     if amplitude.max() < 1e-6:
         raise FixedPointConvergence(
@@ -120,37 +112,35 @@ def _attempt(model, x_start, transient, cfg, n_samples):
     def section(x):
         return x[coord] - level
 
-    # Event pass at full accuracy; widen the window until enough returns.
-    window = _SCOUT_WINDOW
-    crossings = []
-    for _ in range(_MAX_WINDOW_DOUBLINGS + 1):
-        _, crossings = _consume(f, x_settled, (0.0, window), cfg, section,
-                                keep=False)
-        if len(crossings) >= _MIN_CROSSINGS:
+    # Return stream at full accuracy from the end of the scout leg, whose
+    # time also counts as settling; it stops once the returns converge.
+    stream_cfg = replace(cfg, max_step=cfg.max_step or _SCOUT_WINDOW / 10)
+    steps = _integrate_core(f, scout.states[-1], (0.0, _STREAM_BUDGET),
+                            stream_cfg)
+    t_cross, states = [], []
+    for t, state in _section_crossings(steps, section):
+        t_cross.append(t)
+        states.append(state)
+        if (len(states) >= _MIN_CROSSINGS
+                and _return_drift(states) < CLOSURE_TOL):
             break
-        window *= 2.0
-    if not crossings:
+
+    # The scout leg's own upward crossing counts as one return.
+    g = xs[:, coord] - level
+    if not states and not np.any((g[:-1] < 0.0) & (g[1:] >= 0.0)):
         raise NoCrossings(
             f"section x[{coord}]={level:.6g} never crossed upward within "
-            f"{window / 2:.0f} time units"
+            f"{_SCOUT_WINDOW + _STREAM_BUDGET:.0f} time units"
         )
-    if len(crossings) < 2:
+    if len(states) < 2:
         raise NotPeriodic("fewer than two section returns found")
-
-    t_cross = np.array([t for t, _ in crossings])
-    states = np.array([s for _, s in crossings])
-    gaps = np.diff(t_cross)
-    period = float(np.mean(gaps[-5:]))
-
-    rel_dist = (
-        np.linalg.norm(states[-1] - states[-2])
-        / max(np.linalg.norm(states[-2]), 1e-300)
-    )
+    rel_dist = _return_drift(states)
     if rel_dist >= CLOSURE_TOL:
         raise NotPeriodic(
             f"section returns still {rel_dist:.3g} apart (relative); "
             "orbit has not converged onto a cycle"
         )
+    period = float(np.mean(np.diff(t_cross[-_AVERAGED_RETURNS:])))
 
     anchor = states[-1]
     one_period = integrate(f, anchor, (0.0, period), cfg)

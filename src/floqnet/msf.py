@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DisconnectedGraph
+from .exceptions import DisconnectedGraph, InvalidParam
 from .floquet import UNITY_TOL, _cyclic_multipliers, monodromy, \
     variational_factors
 from .limit_cycle import LimitCycle
@@ -115,11 +115,11 @@ def msf_sweep(model: OscillatorModel, lc: LimitCycle, mask, kappa_grid,
     """
     grid = np.asarray(kappa_grid, dtype=float).ravel()
     if grid.size == 0:
-        raise ValueError("empty kappa grid")
+        raise InvalidParam("empty kappa grid")
     if np.any(grid < 0):
-        raise ValueError("kappa grid values must be >= 0")
+        raise InvalidParam("kappa grid values must be >= 0")
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise ValueError("kappa grid must be strictly increasing")
+        raise InvalidParam("kappa grid must be strictly increasing")
 
     factors, _, _ = variational_factors(model, lc, grid, mask, cfg)
     points = [_point(kappa, _cyclic_multipliers(segment_factors))

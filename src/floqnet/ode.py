@@ -247,28 +247,37 @@ def _refine_crossing(event, rcont, t_lo, h):
     return t_lo + 0.5 * (a + b) * h
 
 
-def _consume(field, x0, t_span, cfg, event=None, keep=True):
-    """Consume the step stream of one integration.  Returns the
-    :class:`Trajectory` (None unless ``keep``) and the upward
-    zero-crossings ``(time, state)`` of ``event``, which needs a 1-D x0."""
+def _section_crossings(steps, event):
+    """Yield the upward zero-crossings ``(time, state)`` of ``event`` along
+    a stream of 1-D steps, building dense coefficients only where one lies."""
+    g_hi = None
+    for t, h, y, y_new, k in steps:
+        g_lo = float(event(y)) if g_hi is None else g_hi
+        g_hi = float(event(y_new))
+        if g_lo < 0.0 <= g_hi:
+            r = _dense_coeffs(h, y, y_new, k)
+            tc = _refine_crossing(event, r, t, h)
+            yield tc, _dense_eval(r, (tc - t) / h)
+
+
+def _consume(field, x0, t_span, cfg, event=None):
+    """Collect the step stream of one integration into a
+    :class:`Trajectory`, with the upward zero-crossings of ``event``."""
     shape = np.shape(x0)
     times, states = [float(t_span[0])], [np.asarray(x0, dtype=float).ravel()]
-    rconts, crossings, g_hi = [], [], None
-    for t, h, y, y_new, k in _integrate_core(field, x0, t_span, cfg):
-        rcont = _dense_coeffs(h, y, y_new, k) if keep else None
-        if event is not None:
-            g_lo = float(event(y)) if g_hi is None else g_hi
-            g_hi = float(event(y_new))
-            if g_lo < 0.0 <= g_hi:
-                r = _dense_coeffs(h, y, y_new, k) if rcont is None else rcont
-                tc = _refine_crossing(event, r, t, h)
-                crossings.append((tc, _dense_eval(r, (tc - t) / h)))
-        if keep:
+    rconts = []
+
+    def recorded():
+        for t, h, y, y_new, k in _integrate_core(field, x0, t_span, cfg):
             times.append(t + h)
             states.append(y_new)
-            rconts.append(rcont)
-    if not keep:
-        return None, crossings
+            rconts.append(_dense_coeffs(h, y, y_new, k))
+            yield t, h, y, y_new, k
+
+    steps = recorded()
+    crossings = [] if event is None else list(_section_crossings(steps, event))
+    for _ in steps:  # without an event nothing has drawn the steps yet
+        pass
     return Trajectory(np.array(times), np.array(states).reshape((-1,) + shape),
                       np.array(rconts).reshape((-1, 5) + shape)), crossings
 

@@ -10,7 +10,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from floqnet.exceptions import ClosureDrift
+from floqnet.exceptions import ClosureDrift, DimensionMismatch, \
+    InvalidParam
 from floqnet.floquet import ajl_determinant, lf_decomposition, monodromy, \
     shifted_multipliers_fullstate
 from floqnet.models import get_model
@@ -42,6 +43,12 @@ class TestRotationMonodromy:
         expected = np.exp(-rotation_cycle.period)  # e^{-2 pi}
         assert np.abs(np.abs(mon.multipliers) - expected).max() \
             < 1e-8 * expected
+
+    @pytest.mark.parametrize("mask", [[1, 0, 1], [1, 0.5]])
+    def test_bad_mask_is_dimension_mismatch(self, rotation, rotation_cycle,
+                                            mask):
+        with pytest.raises(DimensionMismatch):
+            monodromy(rotation, rotation_cycle, kappa=1.0, mask=mask)
 
 
 class TestUncoupledStructure:
@@ -109,13 +116,18 @@ class TestShiftLaw:
 
     def test_requires_uncoupled_base(self, vdp, vdp_cycle):
         shifted_base = monodromy(vdp, vdp_cycle, kappa=0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParam):
             shifted_multipliers_fullstate(shifted_base, 1.0)
 
 
 class TestDeterminantIdentity:
     def test_time_zero_trivial(self, vdp, vdp_cycle):
         assert ajl_determinant(vdp, vdp_cycle, t=0.0) == (1.0, 1.0)
+
+    def test_time_outside_period_is_invalid(self, vdp, vdp_cycle):
+        for t in (-0.1, 1.01 * vdp_cycle.period):
+            with pytest.raises(InvalidParam):
+                ajl_determinant(vdp, vdp_cycle, t=t)
 
     def test_rotation_traceless(self, rotation, rotation_cycle):
         for t in (0.5, 2.0, rotation_cycle.period):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import floqnet.msf
-from floqnet.exceptions import DisconnectedGraph
+from floqnet.exceptions import DisconnectedGraph, InvalidParam
 from floqnet.floquet import monodromy
 from floqnet.msf import default_kappa_grid, msf_point, msf_sweep, \
     sync_predicate
@@ -79,11 +79,11 @@ class TestMsfSweep:
         assert np.all(np.diff(curve.mu_max) < 0.0)
 
     def test_grid_validation(self, vdp, vdp_cycle):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParam):
             msf_sweep(vdp, vdp_cycle, None, [])
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParam):
             msf_sweep(vdp, vdp_cycle, None, [1.0, 0.5])
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParam):
             msf_sweep(vdp, vdp_cycle, None, [-0.5, 1.0])
 
     @pytest.mark.parametrize("model, cycle, mask", [
