@@ -32,10 +32,10 @@ import numpy as np
 
 from . import checks
 from .exceptions import ConfigError, FloqnetError, NumericalError
-from .floquet import ajl_determinant, monodromy
+from .floquet import _resolve_mask, ajl_determinant, monodromy
 from .limit_cycle import find_limit_cycle
 from .models import MODEL_NAMES, get_model
-from .msf import default_kappa_grid, msf_sweep
+from .msf import _resolve_kappa_grid, default_kappa_grid, msf_sweep
 from .network import CouplingSpec, complete_graph, from_adjacency, \
     ring_graph, simulate_network
 from .ode import IntegratorConfig
@@ -143,14 +143,19 @@ def _integrator_from(args, config):
         raise ConfigError(str(exc)) from exc
 
 
-def _vector_from(values, size, what):
-    """Float vector of length ``size`` from a list or an "a,b,..." string."""
+def _floats_from(values, what):
+    """Float vector from a list or an "a,b,..." string."""
     if isinstance(values, str):
         values = values.split(",")
     try:
-        vec = np.asarray(values, dtype=float).ravel()
+        return np.asarray(values, dtype=float).ravel()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{what} must be a list of numbers") from exc
+
+
+def _vector_from(values, size, what):
+    """Finite float vector of length ``size``."""
+    vec = _floats_from(values, what)
     if vec.size != size:
         raise ConfigError(f"{what} has length {vec.size}, expected {size}")
     if not np.all(np.isfinite(vec)):
@@ -159,12 +164,8 @@ def _vector_from(values, size, what):
 
 
 def _mask_from(spec, dim):
-    if spec is None or spec == "full":
-        return np.ones(dim)
-    mask = _vector_from(spec, dim, "mask")
-    if not np.all((mask == 0) | (mask == 1)):
-        raise ConfigError("mask entries must be 0 or 1")
-    return mask
+    full = spec is None or spec == "full"
+    return _resolve_mask(None if full else _floats_from(spec, "mask"), dim)
 
 
 def _graph_from(config):
@@ -305,18 +306,18 @@ def _cmd_msf(args):
                               "(flags or config 'msf' section)")
         lo, hi = float(section["kappa_min"]), float(section["kappa_max"])
         points = int(section["points"])
-        if points < 1 or not lo >= 0 or (points > 1 and not hi > lo):
-            raise ConfigError("msf sweep needs points >= 1 and 0 <= kappa_min "
-                              f"< kappa_max, got {points}, {lo:g}, {hi:g}")
+        if points < 0:
+            raise ConfigError(f"msf sweep needs points >= 1, got {points}")
         spacing = section.get("spacing", "linear")
         if spacing == "linear":
             grid = np.linspace(lo, hi, points)
         elif spacing == "log":
-            if lo <= 0:
-                raise ConfigError("log spacing needs kappa_min > 0")
+            if not (lo > 0 and hi > 0):
+                raise ConfigError("log spacing needs kappa_min, kappa_max > 0")
             grid = np.geomspace(lo, hi, points)
         else:
             raise ConfigError(f"unknown msf.spacing {spacing!r}")
+        grid = _resolve_kappa_grid(grid)
 
     mask = _mask_from(args.mask if args.mask is not None
                       else (config or {}).get("coupling", {}).get("mask"),

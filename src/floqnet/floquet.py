@@ -216,9 +216,7 @@ def monodromy(model: OscillatorModel, lc: LimitCycle, kappa: float = 0.0,
     phi = factors[0]
     for a in factors[1:]:
         phi = a @ phi
-    dets = [linalg.determinant(a) for a in factors]
-    det_phi = float(np.prod(dets).real) if not np.iscomplexobj(phi) \
-        else complex(np.prod(dets))
+    det_phi = float(np.prod(np.linalg.det(factors)))
     multipliers = _cyclic_multipliers(factors)
     with np.errstate(divide="ignore"):
         exponents = np.log(multipliers.astype(complex)) / lc.period
@@ -267,9 +265,7 @@ def ajl_determinant(model: OscillatorModel, lc: LimitCycle,
     p = max(1, int(np.ceil(p_full * t_end / lc.period)))
     factors, _, trace_integral = variational_factors(
         model, lc, [kappa], mask_v, cfg, p, t_end=t_end, with_trace=True)
-    det_phi = 1.0
-    for a in factors[0]:
-        det_phi *= float(np.real(linalg.determinant(a)))
+    det_phi = float(np.prod(np.linalg.det(factors[0])))
     rhs = float(np.exp(trace_integral)
                 * np.exp(-float(kappa) * mask_v.sum() * t_end))
     return det_phi, rhs
@@ -290,7 +286,10 @@ def lf_decomposition(model: OscillatorModel, lc: LimitCycle,
     """Lyapunov-Floquet factorization of the uncoupled variational flow.
 
     R = log(phi(T,0)) / T on the principal branch, and P sampled at the
-    cycle phases through P(t) = expm(R*t) @ inv(phi(t,0)).
+    cycle phases through P(t) = expm(R*t) @ inv(phi(t,0)).  Both come from
+    one eigenbasis phi(T,0) = V diag(w) V^-1, since expm(R*t) =
+    V diag(w^(t/T)) V^-1: all phases are one broadcast product and one
+    stacked inverse of the phi(t,0).
 
     Accuracy note: evaluating P requires inverting phi(t,0), so for cycles
     whose transition matrix condition number approaches 1/eps (very
@@ -305,20 +304,22 @@ def lf_decomposition(model: OscillatorModel, lc: LimitCycle,
     rhs = _variational_rhs(model, [0.0], np.ones(m))
     z0 = np.concatenate([lc.anchor, np.eye(m).ravel()])[None]
     traj = integrate(rhs, z0, (0.0, lc.period), cfg)
-    phi_t_flat = traj.eval(lc.times)[:, 0]
-    phi_end = traj.states[-1][0, m:].reshape(m, m)
+    # phi(t, 0) at the sampled phases, then at t = T for the residual.
+    rows = np.concatenate([traj.eval(lc.times), traj.states[-1:]])
+    phis = rows[:, 0, m:].reshape(-1, m, m)
+    phases = np.append(lc.times, lc.period) / lc.period
 
-    r = linalg.log_principal(phi_end) / lc.period
-
-    n = lc.n_samples
-    p_samples = np.empty((n, m, m), dtype=complex)
+    log_w, v, v_inv = linalg._principal_log_eig(phis[-1])
+    r = (v * log_w) @ v_inv / lc.period
+    try:
+        phi_inv = np.linalg.inv(phis)
+    except np.linalg.LinAlgError:
+        phi_inv = np.array([_inv_or_pinv(a) for a in phis])
+    p_all = (v * np.exp(phases[:, None] * log_w)[:, None, :]) @ v_inv @ phi_inv
+    p_samples = p_all[:-1]
     p_samples[0] = np.eye(m)
-    for k in range(1, n):
-        phi_k = phi_t_flat[k][m:].reshape(m, m)
-        p_samples[k] = linalg.expm(r * lc.times[k]) @ _inv_or_pinv(phi_k)
-    p_end = linalg.expm(r * lc.period) @ _inv_or_pinv(phi_end)
     residual = float(
-        np.linalg.norm(p_end - np.eye(m)) / np.linalg.norm(np.eye(m))
+        np.linalg.norm(p_all[-1] - np.eye(m)) / np.linalg.norm(np.eye(m))
     )
     return LFDecomposition(
         R=r, times=lc.times.copy(), P_samples=p_samples,

@@ -1,12 +1,12 @@
 """Small dense matrix operations: eigenvalues, determinant, principal
-matrix logarithm, matrix exponential.
+matrix logarithm.
 
 Everything here targets the tiny matrices this package works with
 (oscillator dimension <= 10, network size <= 20).  Eigenvalues and
 determinants are delegated to LAPACK through numpy (Hessenberg reduction
-plus shifted QR, LU with partial pivoting); the matrix logarithm and
-exponential are implemented here so their error contracts and branch
-conventions are explicit.
+plus shifted QR, LU with partial pivoting); the matrix logarithm is
+implemented here so its error contract and branch convention are
+explicit.
 
 Spectra are always returned in a fixed deterministic order: descending
 modulus, ties broken by descending real part, then descending imaginary
@@ -24,7 +24,6 @@ __all__ = [
     "sort_spectrum",
     "determinant",
     "log_principal",
-    "expm",
 ]
 
 _MAX_EIG_DIM = 64
@@ -81,6 +80,25 @@ def determinant(m):
     return np.linalg.det(a)
 
 
+def _principal_log_eig(m, cond_limit=DIAGONALIZABILITY_COND_LIMIT):
+    """``(log w, V, V^-1)`` with m = V diag(w) V^-1 and log w on the
+    principal branch; raises as :func:`log_principal` does."""
+    a = _as_square(m)
+    try:
+        w, v = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"eigendecomposition failed: {exc}") from exc
+    if np.any(np.abs(w) == 0.0):
+        raise SingularInput("matrix has a zero eigenvalue; log undefined")
+    cond = np.linalg.cond(v)
+    if not np.isfinite(cond) or cond > cond_limit:
+        raise NonDiagonalizable(
+            f"eigenvector matrix condition number {cond:.3g} exceeds "
+            f"{cond_limit:.3g}"
+        )
+    return np.log(w.astype(complex)), v, np.linalg.inv(v)
+
+
 def log_principal(m, cond_limit=DIAGONALIZABILITY_COND_LIMIT):
     """Principal matrix logarithm through an eigendecomposition.
 
@@ -95,47 +113,5 @@ def log_principal(m, cond_limit=DIAGONALIZABILITY_COND_LIMIT):
     NonDiagonalizable
         If the eigenvector matrix condition number exceeds ``cond_limit``.
     """
-    a = _as_square(m)
-    try:
-        w, v = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigendecomposition failed: {exc}") from exc
-    if np.any(np.abs(w) == 0.0):
-        raise SingularInput("matrix has a zero eigenvalue; log undefined")
-    cond = np.linalg.cond(v)
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise NonDiagonalizable(
-            f"eigenvector matrix condition number {cond:.3g} exceeds "
-            f"{cond_limit:.3g}"
-        )
-    log_w = np.log(w.astype(complex))
-    return (v * log_w) @ np.linalg.inv(v)
-
-
-def expm(m):
-    """Matrix exponential by scaling and squaring with a truncated Taylor
-    series.
-
-    Accurate to ~1e-13 relative for the small, moderate-norm matrices this
-    package produces; exact for the zero matrix.
-    """
-    a = _as_square(m)
-    dtype = complex if np.iscomplexobj(a) else float
-    a = a.astype(dtype)
-    n = a.shape[0]
-    norm = np.linalg.norm(a, 1)
-    if norm == 0.0:
-        return np.eye(n, dtype=dtype)
-    # Scale so the series argument has 1-norm <= 0.5, then square back.
-    s = max(0, int(np.ceil(np.log2(norm / 0.5))))
-    x = a / (2.0**s)
-    result = np.eye(n, dtype=dtype)
-    term = np.eye(n, dtype=dtype)
-    for k in range(1, 40):
-        term = term @ x / k
-        result = result + term
-        if np.linalg.norm(term, 1) < 1e-18 * np.linalg.norm(result, 1):
-            break
-    for _ in range(s):
-        result = result @ result
-    return result
+    log_w, v, v_inv = _principal_log_eig(m, cond_limit)
+    return (v * log_w) @ v_inv

@@ -19,6 +19,7 @@ Registered models:
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -65,18 +66,30 @@ def vdp_model(mu: float = 1.0) -> OscillatorModel:
     mu = float(mu)
 
     def f(x):
-        return np.array([x[1], mu * (1.0 - x[0] ** 2) * x[1] - x[0]])
+        x1, x2 = x.tolist()
+        return np.array([x2, mu * (1.0 - _pow(x1, 2)) * x2 - x1])
 
     def jac(x):
+        x1, x2 = x.tolist()
         return np.array([
             [0.0, 1.0],
-            [-2.0 * mu * x[0] * x[1] - 1.0, mu * (1.0 - x[0] ** 2)],
+            [-2.0 * mu * x1 * x2 - 1.0, mu * (1.0 - _pow(x1, 2))],
         ])
 
     return OscillatorModel(
         name="vdp", dim=2, params={"mu": mu}, field=f, jacobian=jac,
         default_initial=np.array([2.0, 0.0]), transient_hint=50.0,
     )
+
+
+def _pow(a, b):
+    """a ** b (C ``pow``, as on numpy scalars), but inf on overflow as in
+    numpy, not ``OverflowError``: the integrator retries a step whose
+    stages left the finite range.  Bases here are >= 0 or squared."""
+    try:
+        return a ** b
+    except OverflowError:
+        return math.inf
 
 
 def _hill(p, alpha, n):
@@ -90,7 +103,7 @@ def _hill(p, alpha, n):
         warnings.warn("negative concentration clipped to 0 in Hill term",
                       RuntimeWarning, stacklevel=2)
         p = 0.0
-    return alpha / (1.0 + p ** n)
+    return alpha / (1.0 + _pow(p, n))
 
 
 def repressilator_model(alpha: float = 1000.0, alpha0: float = 1.0,
@@ -116,6 +129,7 @@ def repressilator_model(alpha: float = 1000.0, alpha0: float = 1.0,
     rep_idx = (5, 1, 3)
 
     def f(x):
+        x = x.tolist()
         out = np.empty(6)
         for j in range(3):
             m, p = x[2 * j], x[2 * j + 1]
@@ -124,13 +138,15 @@ def repressilator_model(alpha: float = 1000.0, alpha0: float = 1.0,
         return out
 
     def jac(x):
+        x = x.tolist()
         J = np.zeros((6, 6))
         for j in range(3):
             p_rep = max(x[rep_idx[j]], 0.0)
             J[2 * j, 2 * j] = -1.0
             # d/dp of alpha/(1+p^n) = -alpha*n*p^(n-1) / (1+p^n)^2
             J[2 * j, rep_idx[j]] = (
-                -alpha * n * p_rep ** (n - 1.0) / (1.0 + p_rep ** n) ** 2
+                -alpha * n * _pow(p_rep, n - 1.0)
+                / _pow(1.0 + _pow(p_rep, n), 2)
             )
             J[2 * j + 1, 2 * j] = beta
             J[2 * j + 1, 2 * j + 1] = -beta

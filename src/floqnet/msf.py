@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DisconnectedGraph, InvalidParam
-from .floquet import UNITY_TOL, _cyclic_multipliers, monodromy, \
-    variational_factors
+from .floquet import UNITY_TOL, _cyclic_multipliers, _resolve_mask, \
+    monodromy, variational_factors
 from .limit_cycle import LimitCycle
 from .models import OscillatorModel
 from .network import GraphSpec
@@ -34,6 +34,19 @@ def default_kappa_grid():
     """Default sweep grid: kappa = 0 plus 50 log-spaced points in
     [0.01, 10]."""
     return np.concatenate([[0.0], np.geomspace(0.01, 10.0, 50)])
+
+
+def _resolve_kappa_grid(kappa_grid):
+    """The sweep grid as a float vector; :class:`InvalidParam` unless it is
+    non-empty, finite, >= 0 and strictly increasing."""
+    grid = np.asarray(kappa_grid, dtype=float).ravel()
+    if grid.size == 0:
+        raise InvalidParam("empty kappa grid")
+    if not np.all(np.isfinite(grid) & (grid >= 0)):
+        raise InvalidParam("kappa grid values must be finite and >= 0")
+    if not np.all(np.diff(grid) > 0):
+        raise InvalidParam("kappa grid must be strictly increasing")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -113,20 +126,12 @@ def msf_sweep(model: OscillatorModel, lc: LimitCycle, mask, kappa_grid,
     sequence is set by the most demanding kappa; each point then gets its
     multipliers from its own segment factors.
     """
-    grid = np.asarray(kappa_grid, dtype=float).ravel()
-    if grid.size == 0:
-        raise InvalidParam("empty kappa grid")
-    if np.any(grid < 0):
-        raise InvalidParam("kappa grid values must be >= 0")
-    if grid.size > 1 and not np.all(np.diff(grid) > 0):
-        raise InvalidParam("kappa grid must be strictly increasing")
-
+    grid = _resolve_kappa_grid(kappa_grid)
+    mask = _resolve_mask(mask, model.dim)
     factors, _, _ = variational_factors(model, lc, grid, mask, cfg)
     points = [_point(kappa, _cyclic_multipliers(segment_factors))
               for kappa, segment_factors in zip(grid, factors)]
-    return MsfCurve(points=tuple(points), model_name=model.name,
-                    mask=np.asarray(mask if mask is not None
-                                    else np.ones(model.dim), dtype=float),
+    return MsfCurve(points=tuple(points), model_name=model.name, mask=mask,
                     period=lc.period)
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from floqnet import checks
+from floqnet import checks, cli
 from floqnet.cli import load_config, run_subcommand
 from floqnet.exceptions import ConfigError
 from floqnet.floquet import monodromy
@@ -55,6 +55,31 @@ class TestLimitCycleCommand:
 ], ids=["x0-not-a-number", "x0-wrong-length", "msf-no-points",
         "msf-decreasing-grid", "msf-negative-kappa"])
 def test_bad_input_is_config_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_subcommand(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["floquet", "--model", "vdp", "--mask", "0,1,1"],
+    ["floquet", "--model", "vdp", "--mask", "0,2"],
+    ["msf", "--model", "vdp", "--mask", "1,nan"],
+    ["msf", "--model", "vdp", "--kappa-min", "0.5", "--kappa-max", "0",
+     "--points", "1", "--spacing", "log"],
+    # numpy warns building a grid from inf - inf; the grid is then refused.
+    pytest.param(["msf", "--model", "vdp", "--kappa-min", "inf",
+                  "--kappa-max", "inf", "--points", "1"],
+                 marks=pytest.mark.filterwarnings(
+                     "ignore:invalid value:RuntimeWarning")),
+], ids=["mask-wrong-length", "mask-not-0-1", "mask-nan",
+        "msf-log-zero-bound", "msf-infinite-kappa"])
+def test_bad_mask_or_grid_fails_before_cycle_search(argv, tmp_path,
+                                                    monkeypatch, capsys):
+    def no_search(*args, **kwargs):
+        raise AssertionError("find_limit_cycle ran on invalid input")
+
+    monkeypatch.setattr(cli, "find_limit_cycle", no_search)
     monkeypatch.chdir(tmp_path)
     assert run_subcommand(argv) == 2
     assert "config error" in capsys.readouterr().err

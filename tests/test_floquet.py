@@ -6,15 +6,19 @@ Jacobian trace along the stored cycle (against both determinant routes),
 and the closed-form exponential shift.
 """
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from floqnet import floquet
 from floqnet.exceptions import ClosureDrift, DimensionMismatch, \
     InvalidParam
 from floqnet.floquet import ajl_determinant, lf_decomposition, monodromy, \
     shifted_multipliers_fullstate
+from floqnet.limit_cycle import find_limit_cycle
 from floqnet.models import get_model
+from oracles import expm
 
 VDP_MU2_REF = 8.596950636061e-04  # rel_tol 1e-12 reference
 
@@ -210,7 +214,6 @@ class TestLFDecomposition:
         assert np.abs(r_eigs - exps).max() < 1e-8
 
     def test_r_reconstructs_monodromy(self, vdp, vdp_cycle):
-        from floqnet.linalg import expm
         lf = lf_decomposition(vdp, vdp_cycle)
         mon = monodromy(vdp, vdp_cycle)
         rebuilt = expm(lf.R * vdp_cycle.period)
@@ -220,6 +223,96 @@ class TestLFDecomposition:
     def test_vdp_periodicity(self, vdp, vdp_cycle):
         lf = lf_decomposition(vdp, vdp_cycle)
         assert lf.periodicity_residual < 1e-4
+
+
+@pytest.fixture(scope="module")
+def lf_with_oracle():
+    """``lf_with_oracle(name, **params)``: the model's lf_decomposition
+    next to the per-phase path it replaced, P(t_k) = expm(R t_k) @
+    inv(phi(t_k, 0)) with the Taylor oracle expm, built from the same
+    integrated transition matrices.  Returns (lf, P_oracle,
+    oracle periodicity residual); cached per model."""
+    cache = {}
+
+    def build(name, **params):
+        key = (name, tuple(sorted(params.items())))
+        if key not in cache:
+            model = get_model(name, params)
+            lc = find_limit_cycle(model)
+            seen, real = [], floquet.integrate
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(floquet, "integrate", lambda *a, **k:
+                           seen.append(real(*a, **k)) or seen[-1])
+                lf = lf_decomposition(model, lc)
+            traj, = seen
+            m = model.dim
+            phis = traj.eval(lc.times)[:, 0, m:].reshape(-1, m, m)
+            p_oracle = np.array([expm(lf.R * t) @ np.linalg.inv(phi)
+                                 for t, phi in zip(lc.times, phis)])
+            p_oracle[0] = np.eye(m)
+            phi_end = traj.states[-1][0, m:].reshape(m, m)
+            p_end = expm(lf.R * lc.period) @ np.linalg.inv(phi_end)
+            residual = np.linalg.norm(p_end - np.eye(m)) / np.sqrt(m)
+            cache[key] = lf, p_oracle, residual
+        return cache[key]
+
+    return build
+
+
+class TestLFBatchedAgainstPerPhase:
+    """The one-eigenbasis, stacked-inverse P against the per-phase Taylor
+    expm and inverse it replaced."""
+
+    @pytest.mark.parametrize("name, params", [
+        ("vdp", {"mu": 0.5}), ("vdp", {"mu": 1.0}), ("vdp", {"mu": 2.0}),
+        ("linear_rotation", {}),
+    ], ids=["vdp-0.5", "vdp-1", "vdp-2", "rotation"])
+    def test_p_samples_match_oracle(self, lf_with_oracle, name, params):
+        lf, p_oracle, _ = lf_with_oracle(name, **params)
+        # Relative to the largest entry over all phases: late phases of a
+        # contracting cycle have large P, so a per-phase ratio would
+        # measure the oracle's own expm error there.
+        rel = np.abs(lf.P_samples - p_oracle).max() / np.abs(p_oracle).max()
+        assert rel < 1e-6
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
+    def test_residual_no_larger_than_oracle(self, lf_with_oracle, mu):
+        lf, _, oracle_residual = lf_with_oracle("vdp", mu=mu)
+        assert lf.periodicity_residual <= oracle_residual
+
+    def test_no_per_matrix_inverse_on_happy_path(self, vdp, vdp_cycle,
+                                                 monkeypatch):
+        calls = []
+        real = floquet._inv_or_pinv
+        monkeypatch.setattr(floquet, "_inv_or_pinv",
+                            lambda a: calls.append(1) or real(a))
+        lf_decomposition(vdp, vdp_cycle)
+        assert calls == []
+
+    def test_singular_phase_falls_back_to_pinv(self, vdp, vdp_cycle,
+                                               monkeypatch):
+        clean = lf_decomposition(vdp, vdp_cycle)
+        k, m = 200, vdp.dim
+        real = floquet.integrate
+
+        def with_singular_sample(*args, **kwargs):
+            traj = real(*args, **kwargs)
+            samples = traj.eval(vdp_cycle.times)
+            samples[k, 0, m:] = 1.0  # phi(t_k, 0) := ones, rank one
+            return SimpleNamespace(states=traj.states,
+                                   eval=lambda t: samples)
+
+        monkeypatch.setattr(floquet, "integrate", with_singular_sample)
+        calls = []
+        real_inv = floquet._inv_or_pinv
+        monkeypatch.setattr(floquet, "_inv_or_pinv",
+                            lambda a: calls.append(1) or real_inv(a))
+        lf = lf_decomposition(vdp, vdp_cycle)
+        assert len(calls) == vdp_cycle.n_samples + 1
+        assert np.all(np.isfinite(lf.P_samples))
+        others = np.arange(vdp_cycle.n_samples) != k
+        assert np.array_equal(lf.P_samples[others], clean.P_samples[others])
+        assert lf.periodicity_residual == clean.periodicity_residual
 
 
 class TestClosureDrift:

@@ -1,5 +1,7 @@
 """Tests for the oscillator model registry: vector fields, analytic
 Jacobians against finite differences, and parameter validation."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,91 @@ class TestRotation:
         expected = np.array([[0.0, 1.0], [-1.0, 0.0]])
         for x in (np.zeros(2), np.array([3.0, -2.0])):
             assert np.array_equal(model.jacobian(x), expected)
+
+
+def numpy_indexed_vdp(mu):
+    """The vdp field and Jacobian as numpy-scalar expressions, the
+    reference for the float-unpacking implementation."""
+    def f(x):
+        return np.array([x[1], mu * (1.0 - x[0] ** 2) * x[1] - x[0]])
+
+    def jac(x):
+        return np.array([
+            [0.0, 1.0],
+            [-2.0 * mu * x[0] * x[1] - 1.0, mu * (1.0 - x[0] ** 2)],
+        ])
+
+    return f, jac
+
+
+def numpy_indexed_repressilator(alpha, alpha0, beta, n):
+    """The repressilator field and Jacobian as numpy-scalar expressions
+    (repressors clipped at 0), the reference for the float-unpacking
+    implementation."""
+    rep_idx = (5, 1, 3)
+
+    def f(x):
+        out = np.empty(6)
+        for j in range(3):
+            m, p = x[2 * j], x[2 * j + 1]
+            out[2 * j] = -m + alpha / (1.0 + max(x[rep_idx[j]], 0.0) ** n) \
+                + alpha0
+            out[2 * j + 1] = -beta * (p - m)
+        return out
+
+    def jac(x):
+        J = np.zeros((6, 6))
+        for j in range(3):
+            p_rep = max(x[rep_idx[j]], 0.0)
+            J[2 * j, 2 * j] = -1.0
+            J[2 * j, rep_idx[j]] = (
+                -alpha * n * p_rep ** (n - 1.0) / (1.0 + p_rep ** n) ** 2
+            )
+            J[2 * j + 1, 2 * j] = beta
+            J[2 * j + 1, 2 * j + 1] = -beta
+        return J
+
+    return f, jac
+
+
+class TestFieldsBitwise:
+    """Fields and Jacobians computed on unpacked Python floats equal the
+    numpy-scalar expressions bit for bit (both use C pow)."""
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 1.87])
+    def test_vdp(self, mu):
+        model = vdp_model(mu)
+        f, jac = numpy_indexed_vdp(mu)
+        rng = np.random.default_rng(11)
+        states = rng.standard_normal((2000, 2)) \
+            * rng.choice([1e-3, 1.0, 3.0, 1e3], size=(2000, 1))
+        # Squares that overflow give inf, as numpy scalars do.
+        states = np.vstack([states, [[1e200, 1.0], [-1e200, -2.0]]])
+        for x in states:
+            with np.errstate(over="ignore", invalid="ignore"):
+                ref_f, ref_jac = f(x), jac(x)
+            assert np.array_equal(model.field(x), ref_f)
+            assert np.array_equal(model.jacobian(x), ref_jac)
+
+    @pytest.mark.parametrize("params", [
+        {"alpha": 1000.0, "alpha0": 1.0, "beta": 5.0, "n": 2.0},
+        {"alpha": 600.0, "alpha0": 0.5, "beta": 3.0, "n": 2.5},
+    ])
+    def test_repressilator(self, params):
+        model = repressilator_model(**params)
+        f, jac = numpy_indexed_repressilator(**params)
+        rng = np.random.default_rng(12)
+        # About one state in six has a negative repressor.
+        states = rng.uniform(-5.0, 80.0, size=(2000, 6))
+        for x in states:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = model.field(x)
+            negative = bool(np.any(x[[1, 3, 5]] < 0.0))
+            assert any(issubclass(w.category, RuntimeWarning)
+                       for w in caught) == negative
+            assert np.array_equal(out, f(x))
+            assert np.array_equal(model.jacobian(x), jac(x))
 
 
 class TestJacobianConsistency:

@@ -85,6 +85,8 @@ class TestMsfSweep:
             msf_sweep(vdp, vdp_cycle, None, [1.0, 0.5])
         with pytest.raises(InvalidParam):
             msf_sweep(vdp, vdp_cycle, None, [-0.5, 1.0])
+        with pytest.raises(InvalidParam):
+            msf_sweep(vdp, vdp_cycle, None, [0.0, np.inf])
 
     @pytest.mark.parametrize("model, cycle, mask", [
         ("vdp", "vdp_cycle", [0, 1]),
