@@ -118,29 +118,28 @@ def _parse_params(pairs):
     return params
 
 
+def _given(section, **flags):
+    """A copy of the config ``section`` (a dict or None) with every flag
+    that was given (not None) copied over its key."""
+    merged = dict(section or {})
+    merged.update((key, val) for key, val in flags.items() if val is not None)
+    return merged
+
+
 def _model_from(args, config):
-    section = (config or {}).get("model")
-    if args.model is not None:
-        return get_model(args.model, _parse_params(args.param))
-    if section is not None:
-        return get_model(section.get("name", ""), section.get("params"))
-    raise ConfigError("no model given; use --model or a config with a "
-                      "'model' section")
+    # --model replaces the config's whole model section, parameters included.
+    section = {"name": args.model} if args.model else config.get("model")
+    if section is None:
+        raise ConfigError("no model given; use --model or a config with a "
+                          "'model' section")
+    params = _given(section.get("params"), **_parse_params(args.param))
+    return get_model(section.get("name", ""), params)
 
 
 def _integrator_from(args, config):
-    section = dict((config or {}).get("integrator") or {})
-    if getattr(args, "rel_tol", None) is not None:
-        section["rel_tol"] = args.rel_tol
-    if getattr(args, "abs_tol", None) is not None:
-        section["abs_tol"] = args.abs_tol
-    try:
-        return IntegratorConfig(
-            rel_tol=section.get("rel_tol", 1e-9),
-            abs_tol=section.get("abs_tol", 1e-11),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return IntegratorConfig(**_given(config.get("integrator"),
+                                     rel_tol=args.rel_tol,
+                                     abs_tol=args.abs_tol))
 
 
 def _floats_from(values, what):
@@ -153,23 +152,13 @@ def _floats_from(values, what):
         raise ConfigError(f"{what} must be a list of numbers") from exc
 
 
-def _vector_from(values, size, what):
-    """Finite float vector of length ``size``."""
-    vec = _floats_from(values, what)
-    if vec.size != size:
-        raise ConfigError(f"{what} has length {vec.size}, expected {size}")
-    if not np.all(np.isfinite(vec)):
-        raise ConfigError(f"{what} has non-finite entries")
-    return vec
-
-
 def _mask_from(spec, dim):
     full = spec is None or spec == "full"
     return _resolve_mask(None if full else _floats_from(spec, "mask"), dim)
 
 
 def _graph_from(config):
-    section = (config or {}).get("graph")
+    section = config.get("graph")
     if section is None:
         raise ConfigError("config is missing the 'graph' section")
     kind = section.get("kind", "complete")
@@ -222,14 +211,14 @@ def _write_json(path, obj):
 # subcommands
 
 def _cmd_limit_cycle(args):
-    config = load_config(args.config) if args.config else None
+    config = load_config(args.config) if args.config else {}
     model = _model_from(args, config)
     cfg = _integrator_from(args, config)
     x0 = None
     if args.x0 is not None:
-        x0 = _vector_from(args.x0, model.dim, "--x0")
-    elif config and "initial" in config:
-        x0 = _vector_from(config["initial"], model.dim, "initial")
+        x0 = _floats_from(args.x0, "--x0")
+    elif "initial" in config:
+        x0 = _floats_from(config["initial"], "initial")
     lc = find_limit_cycle(model, x0=x0, cfg=cfg)
 
     out = args.out or "limit_cycle"
@@ -244,14 +233,12 @@ def _cmd_limit_cycle(args):
 
 
 def _cmd_floquet(args):
-    config = load_config(args.config) if args.config else None
+    config = load_config(args.config) if args.config else {}
     model = _model_from(args, config)
     cfg = _integrator_from(args, config)
-    coupling = (config or {}).get("coupling", {})
-    kappa = args.kappa if args.kappa is not None else \
-        float(coupling.get("K", 0.0))
-    mask = _mask_from(args.mask if args.mask is not None
-                      else coupling.get("mask"), model.dim)
+    coupling = _given(config.get("coupling"), K=args.kappa, mask=args.mask)
+    kappa = float(coupling.get("K", 0.0))
+    mask = _mask_from(coupling.get("mask"), model.dim)
     lc = find_limit_cycle(model, cfg=cfg)
     mon = monodromy(model, lc, kappa=kappa, mask=mask, cfg=cfg)
     lhs, rhs = ajl_determinant(model, lc, kappa=kappa, mask=mask, cfg=cfg)
@@ -287,15 +274,12 @@ plot '{csv}' using 1:2 skip 1 with linespoints, f(x) with lines dashtype 2
 
 
 def _cmd_msf(args):
-    config = load_config(args.config) if args.config else None
+    config = load_config(args.config) if args.config else {}
     model = _model_from(args, config)
     cfg = _integrator_from(args, config)
-    section = dict((config or {}).get("msf") or {})
-    for key, val in (("kappa_min", args.kappa_min),
-                     ("kappa_max", args.kappa_max),
-                     ("points", args.points), ("spacing", args.spacing)):
-        if val is not None:
-            section[key] = val
+    section = _given(config.get("msf"), kappa_min=args.kappa_min,
+                     kappa_max=args.kappa_max, points=args.points,
+                     spacing=args.spacing)
     if not section:
         grid = default_kappa_grid()
     else:
@@ -319,9 +303,8 @@ def _cmd_msf(args):
             raise ConfigError(f"unknown msf.spacing {spacing!r}")
         grid = _resolve_kappa_grid(grid)
 
-    mask = _mask_from(args.mask if args.mask is not None
-                      else (config or {}).get("coupling", {}).get("mask"),
-                      model.dim)
+    coupling = _given(config.get("coupling"), mask=args.mask)
+    mask = _mask_from(coupling.get("mask"), model.dim)
     lc = find_limit_cycle(model, cfg=cfg)
     curve = msf_sweep(model, lc, mask, grid, cfg=cfg)
 
@@ -367,7 +350,7 @@ def _cmd_simulate(args):
     if "initial" not in config:
         raise ConfigError("config is missing 'initial' "
                           f"(length {graph.n * model.dim} state)")
-    x0 = _vector_from(config["initial"], graph.n * model.dim, "initial")
+    x0 = _floats_from(config["initial"], "initial")
 
     run = simulate_network(
         model, graph, coupling, x0, float(run_cfg["t_end"]), cfg=cfg,
@@ -399,19 +382,20 @@ def _cmd_simulate(args):
 # ---------------------------------------------------------------------------
 # verify
 
-def verify_all(config=None, quick=False, seed=0):
+def verify_all(config=None, quick=False, seed=None):
     """Run the built-in consistency suite; returns (reports, all_passed).
 
     Each row of the table below pairs a measurement from
     :mod:`floqnet.checks` with the bound it must meet; ``quick`` runs only
-    the rows marked for it.
+    the rows marked for it.  ``seed`` overrides the config's ``seed``
+    (default 0).  The checks use no other config value.
     """
-    if config:
-        seed = int(config.get("seed", seed))
-        # Building the configured model validates its name and parameters.
-        if "model" in config:
-            get_model(config["model"].get("name", ""),
-                      config["model"].get("params"))
+    config = _given(config, seed=seed)
+    seed = int(config.get("seed", 0))
+    # Building the configured model validates its name and parameters.
+    if "model" in config:
+        get_model(config["model"].get("name", ""),
+                  config["model"].get("params"))
 
     @functools.cache
     def cycle(name):
@@ -497,7 +481,7 @@ def verify_all(config=None, quick=False, seed=0):
 
 
 def _cmd_verify(args):
-    config = load_config(args.config) if args.config else None
+    config = load_config(args.config) if args.config else {}
     print("floqnet verify" + (" --quick" if args.quick else ""))
     reports, ok = verify_all(config=config, quick=args.quick,
                              seed=args.seed)
@@ -523,8 +507,8 @@ def _build_parser():
             p.add_argument("--model", choices=MODEL_NAMES)
             p.add_argument("--param", action="append", metavar="NAME=VALUE",
                            help="model parameter override (repeatable)")
-        p.add_argument("--rel-tol", type=float, dest="rel_tol")
-        p.add_argument("--abs-tol", type=float, dest="abs_tol")
+            p.add_argument("--rel-tol", type=float, dest="rel_tol")
+            p.add_argument("--abs-tol", type=float, dest="abs_tol")
         p.add_argument("--out", help="output path prefix")
 
     p = sub.add_parser("limit-cycle", help="find a limit cycle and period")
@@ -558,7 +542,7 @@ def _build_parser():
     common(p, needs_model=False)
     p.add_argument("--quick", action="store_true",
                    help="subset of checks that completes in ~15 s")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .exceptions import ClosureDrift, DimensionMismatch, InvalidParam
+from .exceptions import ClosureDrift, DimensionMismatch, InvalidParam, \
+    NonConvergence
 from .limit_cycle import LimitCycle
 from .models import OscillatorModel
 from .ode import IntegratorConfig, _final_state, integrate
@@ -57,12 +58,6 @@ def _resolve_mask(mask, dim):
     if not np.all((m == 0.0) | (m == 1.0)):
         raise DimensionMismatch("mask entries must be 0 or 1")
     return m
-
-
-def _n_segments(dim, segments=None):
-    # Keep the cyclic lift within the 64x64 eigenvalue budget.
-    p = min(16, 64 // dim) if segments is None else int(segments)
-    return max(1, min(p, 64 // dim))
 
 
 @dataclass(frozen=True)
@@ -129,23 +124,23 @@ def _variational_rhs(model, kappas, mask, with_trace=False):
 
 def variational_factors(model: OscillatorModel, lc: LimitCycle, kappas,
                         mask=None, cfg: IntegratorConfig | None = None,
-                        segments: int | None = None,
-                        t_end: float | None = None, with_trace: bool = False):
+                        with_trace: bool = False):
     """Integrate the cycle with one variational matrix per kappa on one
-    step sequence over [0, t_end] (default one period), in ``segments``
-    legs that each restart the matrices at the identity.
+    step sequence over one period, in p legs that each restart the
+    matrices at the identity.
 
-    Returns the (B, p, m, m) segment factors, the relative drift of the
-    cycle state from the anchor (:class:`ClosureDrift` above 1e-4 over a
-    full period) and, ``with_trace``, the integral of tr Df (else None).
+    Returns the (B, p, m, m) segment factors and, ``with_trace``, the
+    integral of tr Df (else None).  Raises :class:`ClosureDrift` when the
+    cycle state ends more than 1e-4 (relative) from the anchor.
     """
     cfg = cfg or IntegratorConfig()
     m = model.dim
     mask_v = _resolve_mask(mask, m)
     kappas = np.asarray(kappas, dtype=float).ravel()
-    p = _n_segments(m, segments)
+    # Keep the cyclic lift within the 64x64 eigenvalue budget.
+    p = max(1, min(16, 64 // m))
     rhs = _variational_rhs(model, kappas, mask_v, with_trace)
-    bounds = np.linspace(0.0, lc.period if t_end is None else t_end, p + 1)
+    bounds = np.linspace(0.0, lc.period, p + 1)
     z0 = np.zeros((kappas.size, m + m * m + int(with_trace)))
     z0[:, m:m + m * m] = np.eye(m).ravel()
     x = lc.anchor.copy()
@@ -159,12 +154,12 @@ def variational_factors(model: OscillatorModel, lc: LimitCycle, kappas,
         if with_trace:
             trace_integral += float(z_end[0, -1])
     drift = float(np.linalg.norm(x - lc.anchor) / np.linalg.norm(lc.anchor))
-    if t_end is None and drift > _CLOSURE_DRIFT_TOL:
+    if drift > _CLOSURE_DRIFT_TOL:
         raise ClosureDrift(
             f"cycle state drifted {drift:.3g} (relative) over one period; "
             "limit cycle and model are inconsistent"
         )
-    return factors, drift, trace_integral
+    return factors, trace_integral
 
 
 def _cyclic_multipliers(factors):
@@ -172,13 +167,14 @@ def _cyclic_multipliers(factors):
     lift, clustered back from their p-th roots."""
     p = len(factors)
     m = factors[0].shape[0]
-    if p == 1:
-        return linalg.eigenvalues(factors[0])
     c = np.zeros((m * p, m * p))
     c[:m, -m:] = factors[-1]
     for i in range(p - 1):
         c[m * (i + 1): m * (i + 2), m * i: m * (i + 1)] = factors[i]
-    powered = np.linalg.eigvals(c) ** p
+    try:
+        powered = np.linalg.eigvals(c) ** p
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
     # Greedy proximity clustering into m groups of p; the p roots of one
     # product eigenvalue power back to near-coincident values.
     used = np.zeros(powered.size, dtype=bool)
@@ -211,7 +207,7 @@ def monodromy(model: OscillatorModel, lc: LimitCycle, kappa: float = 0.0,
     anchor within 1e-4 relative.
     """
     mask_v = _resolve_mask(mask, model.dim)
-    stack, _, _ = variational_factors(model, lc, [kappa], mask_v, cfg)
+    stack, _ = variational_factors(model, lc, [kappa], mask_v, cfg)
     factors = stack[0]
     phi = factors[0]
     for a in factors[1:]:
@@ -241,33 +237,27 @@ def shifted_multipliers_fullstate(base: Monodromy, kappa: float) -> np.ndarray:
 
 
 def ajl_determinant(model: OscillatorModel, lc: LimitCycle,
-                    kappa: float = 0.0, mask=None, t: float | None = None,
+                    kappa: float = 0.0, mask=None,
                     cfg: IntegratorConfig | None = None):
-    """Both sides of the transition-matrix determinant identity at time
-    ``t`` in [0, T]:
+    """Both sides of the transition-matrix determinant identity over one
+    period:
 
-        det phi(t, 0)  vs  exp(int_0^t tr Df(x_s(tau)) dtau)
-                             * exp(-kappa * tr(DH) * t)
+        det phi(T, 0)  vs  exp(int_0^T tr Df(x_s(tau)) dtau)
+                             * exp(-kappa * tr(DH) * T)
 
     The left side is the determinant of the integrated variational matrix
     (accumulated as a product of segment determinants); the right side
     integrates the scalar Jacobian trace along the cycle.  Returns
     ``(det_phi, rhs)``; agreement is the caller's assertion.
+
+    Raises :class:`ClosureDrift` as :func:`monodromy` does.
     """
     mask_v = _resolve_mask(mask, model.dim)
-    t_end = lc.period if t is None else float(t)
-    if not 0.0 <= t_end <= lc.period * (1 + 1e-12):
-        raise InvalidParam(f"t must lie in [0, T], got {t_end}")
-    if t_end == 0.0:
-        return 1.0, 1.0
-
-    p_full = _n_segments(model.dim)
-    p = max(1, int(np.ceil(p_full * t_end / lc.period)))
-    factors, _, trace_integral = variational_factors(
-        model, lc, [kappa], mask_v, cfg, p, t_end=t_end, with_trace=True)
+    factors, trace_integral = variational_factors(
+        model, lc, [kappa], mask_v, cfg, with_trace=True)
     det_phi = float(np.prod(np.linalg.det(factors[0])))
     rhs = float(np.exp(trace_integral)
-                * np.exp(-float(kappa) * mask_v.sum() * t_end))
+                * np.exp(-float(kappa) * mask_v.sum() * lc.period))
     return det_phi, rhs
 
 

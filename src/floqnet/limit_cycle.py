@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exceptions import FixedPointConvergence, NoCrossings, NotPeriodic
+from .exceptions import DimensionMismatch, FixedPointConvergence, \
+    NoCrossings, NotPeriodic
 from .models import OscillatorModel
 from .ode import IntegratorConfig, _final_state, _integrate_core, \
     _section_crossings, integrate
@@ -24,6 +25,9 @@ __all__ = ["LimitCycle", "find_limit_cycle"]
 # Relative agreement demanded of the section returns the period average
 # spans, and of the cycle closure ||x(T) - x(0)|| / ||x(0)||.
 CLOSURE_TOL = 1e-6
+
+# Uniform-phase samples stored per cycle.
+_N_SAMPLES = 512
 
 _SCOUT_WINDOW = 60.0
 # Time the return stream may run past the scout leg before giving up.
@@ -71,9 +75,9 @@ def _return_drift(states):
 
 
 def find_limit_cycle(model: OscillatorModel, x0=None,
-                     cfg: IntegratorConfig | None = None,
-                     n_samples: int = 512) -> LimitCycle:
-    """Find the attracting limit cycle reached from ``x0``.
+                     cfg: IntegratorConfig | None = None) -> LimitCycle:
+    """Find the attracting limit cycle reached from ``x0``, sampled at 512
+    uniform phases.
 
     The caller is responsible for starting inside the basin of an
     attracting cycle; failures are reported through exceptions, never
@@ -81,6 +85,8 @@ def find_limit_cycle(model: OscillatorModel, x0=None,
 
     Raises
     ------
+    DimensionMismatch
+        ``x0`` is not a state vector of the model's dimension.
     FixedPointConvergence
         Post-transient oscillation amplitude below 1e-6.
     NoCrossings
@@ -94,6 +100,9 @@ def find_limit_cycle(model: OscillatorModel, x0=None,
     relaxed = _relaxed(cfg)
 
     x = np.asarray(model.default_initial if x0 is None else x0, dtype=float)
+    if x.shape != (model.dim,):
+        raise DimensionMismatch(
+            f"x0 must have shape ({model.dim},), got {x.shape}")
     if model.transient_hint > 0:
         x = _final_state(f, x, (0.0, model.transient_hint), relaxed)
 
@@ -153,7 +162,7 @@ def find_limit_cycle(model: OscillatorModel, x0=None,
             f"closure residual {closure:.3g} exceeds {CLOSURE_TOL:g}"
         )
 
-    times = np.arange(n_samples) * (period / n_samples)
+    times = np.arange(_N_SAMPLES) * (period / _N_SAMPLES)
     return LimitCycle(
         period=period, anchor=anchor.copy(), times=times,
         samples=one_period.eval(times), closure_residual=closure,

@@ -1,12 +1,11 @@
-"""Small dense matrix operations: eigenvalues, determinant, principal
-matrix logarithm.
+"""Small dense matrix operations: eigenvalues and the principal matrix
+logarithm.
 
 Everything here targets the tiny matrices this package works with
-(oscillator dimension <= 10, network size <= 20).  Eigenvalues and
-determinants are delegated to LAPACK through numpy (Hessenberg reduction
-plus shifted QR, LU with partial pivoting); the matrix logarithm is
-implemented here so its error contract and branch convention are
-explicit.
+(oscillator dimension <= 10, network size <= 20).  Eigenvalues are
+delegated to LAPACK through numpy (Hessenberg reduction plus shifted QR);
+the matrix logarithm is implemented here so its error contract and branch
+convention are explicit.
 
 Spectra are always returned in a fixed deterministic order: descending
 modulus, ties broken by descending real part, then descending imaginary
@@ -22,7 +21,6 @@ from .exceptions import NonConvergence, NonDiagonalizable, SingularInput
 __all__ = [
     "eigenvalues",
     "sort_spectrum",
-    "determinant",
     "log_principal",
 ]
 
@@ -71,16 +69,7 @@ def eigenvalues(m):
     return sort_spectrum(w)
 
 
-def determinant(m):
-    """Determinant via LU elimination with partial pivoting.
-
-    Returns a complex scalar for complex input, a float otherwise.
-    """
-    a = _as_square(m)
-    return np.linalg.det(a)
-
-
-def _principal_log_eig(m, cond_limit=DIAGONALIZABILITY_COND_LIMIT):
+def _principal_log_eig(m):
     """``(log w, V, V^-1)`` with m = V diag(w) V^-1 and log w on the
     principal branch; raises as :func:`log_principal` does."""
     a = _as_square(m)
@@ -91,15 +80,15 @@ def _principal_log_eig(m, cond_limit=DIAGONALIZABILITY_COND_LIMIT):
     if np.any(np.abs(w) == 0.0):
         raise SingularInput("matrix has a zero eigenvalue; log undefined")
     cond = np.linalg.cond(v)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > DIAGONALIZABILITY_COND_LIMIT:
         raise NonDiagonalizable(
             f"eigenvector matrix condition number {cond:.3g} exceeds "
-            f"{cond_limit:.3g}"
+            f"{DIAGONALIZABILITY_COND_LIMIT:.3g}"
         )
     return np.log(w.astype(complex)), v, np.linalg.inv(v)
 
 
-def log_principal(m, cond_limit=DIAGONALIZABILITY_COND_LIMIT):
+def log_principal(m):
     """Principal matrix logarithm through an eigendecomposition.
 
     Returns L with exp(L) = m and eigenvalues of L on the principal branch
@@ -111,7 +100,8 @@ def log_principal(m, cond_limit=DIAGONALIZABILITY_COND_LIMIT):
     SingularInput
         If any eigenvalue is zero.
     NonDiagonalizable
-        If the eigenvector matrix condition number exceeds ``cond_limit``.
+        If the eigenvector matrix condition number exceeds
+        ``DIAGONALIZABILITY_COND_LIMIT``.
     """
-    log_w, v, v_inv = _principal_log_eig(m, cond_limit)
+    log_w, v, v_inv = _principal_log_eig(m)
     return (v * log_w) @ v_inv

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatch, InvalidAdjacency
+from .floquet import _resolve_mask
 from .models import OscillatorModel
 from .ode import IntegratorConfig, integrate
 
@@ -61,12 +62,10 @@ class CouplingSpec:
     activation_time: float = 0.0
 
     def __post_init__(self):
-        m = np.asarray(self.mask, dtype=float).ravel()
-        if not np.all((m == 0.0) | (m == 1.0)):
-            raise DimensionMismatch("coupling mask entries must be 0 or 1")
         if self.activation_time < 0:
             raise DimensionMismatch("activation_time must be >= 0")
-        object.__setattr__(self, "mask", m)
+        object.__setattr__(self, "mask",
+                           _resolve_mask(self.mask, np.size(self.mask)))
         object.__setattr__(self, "K", float(self.K))
 
 
@@ -116,12 +115,9 @@ def ring_graph(n: int) -> GraphSpec:
     if n < 2:
         raise InvalidAdjacency(f"need n >= 2 nodes, got {n}")
     a = np.zeros((n, n))
-    if n == 2:
-        a[0, 1] = a[1, 0] = 1.0
-    else:
-        for i in range(n):
-            a[i, (i + 1) % n] = 1.0
-            a[i, (i - 1) % n] = 1.0
+    for i in range(n):
+        a[i, (i + 1) % n] = 1.0
+        a[i, (i - 1) % n] = 1.0
     return from_adjacency(a)
 
 
@@ -149,13 +145,9 @@ def assemble_coupled_field(model: OscillatorModel, graph: GraphSpec,
     synchronization manifold the coupling term vanishes exactly.
     """
     n, m = graph.n, model.dim
-    if coupling.mask.shape != (m,):
-        raise DimensionMismatch(
-            f"mask length {coupling.mask.size} != model dimension {m}"
-        )
+    mask = _resolve_mask(coupling.mask, m)
     f = model.field
     neg_kg = -coupling.K * graph.laplacian
-    mask = coupling.mask
 
     def coupled(x_flat):
         if x_flat.size != n * m:

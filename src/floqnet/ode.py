@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import Blowup, OutOfRange, StepBudgetExceeded, StepFailure
+from .exceptions import Blowup, DimensionMismatch, InvalidParam, \
+    OutOfRange, StepBudgetExceeded, StepFailure
 
 __all__ = ["IntegratorConfig", "Trajectory", "integrate",
            "integrate_with_events", "BLOWUP_LIMIT"]
@@ -69,11 +70,11 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
+            raise InvalidParam("tolerances must be positive")
         if self.max_step is not None and not self.max_step > 0:
-            raise ValueError("max_step must be positive")
+            raise InvalidParam("max_step must be positive")
         if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
+            raise InvalidParam("max_steps must be positive")
 
 
 class Trajectory:
@@ -144,12 +145,13 @@ def _integrate_core(field, x0, t_span, cfg):
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
-        raise ValueError(f"t_span must satisfy t1 > t0, got {t_span}")
+        raise InvalidParam(f"t_span must satisfy t1 > t0, got {t_span}")
     y0 = np.asarray(x0, dtype=float).copy()
     if y0.ndim not in (1, 2):
-        raise ValueError("x0 must be a state vector or a (rows, dim) batch")
+        raise DimensionMismatch(
+            "x0 must be a state vector or a (rows, dim) batch")
     if not np.all(np.isfinite(y0)):
-        raise ValueError("x0 has non-finite entries")
+        raise InvalidParam("x0 has non-finite entries")
     shape = y0.shape
     span = t1 - t0
     max_step = cfg.max_step if cfg.max_step is not None else span / 10.0
@@ -163,6 +165,11 @@ def _integrate_core(field, x0, t_span, cfg):
     k[0] = rhs(y)
     h = _initial_step(field, y0, k[0].reshape(shape), span, max_step,
                       rel_tol, abs_tol)
+    # A NaN step would pass the underflow guard below and be halved until
+    # the step budget runs out.
+    if not (math.isfinite(h) and np.all(np.isfinite(k[0]))):
+        raise StepFailure(
+            f"non-finite derivative or first step at t={t0:.6g} (h={h:.3g})")
 
     t = t0
     n_steps = 0

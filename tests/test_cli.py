@@ -1,13 +1,14 @@
 """Tests for the command-line interface: subcommand contracts, config
 validation, exit codes, output formats, and reproducibility."""
 import json
+import time
 
 import numpy as np
 import pytest
 
 from floqnet import checks, cli
 from floqnet.cli import load_config, run_subcommand
-from floqnet.exceptions import ConfigError
+from floqnet.exceptions import ConfigError, FixedPointConvergence
 from floqnet.floquet import monodromy
 
 SHIPPED_CONFIGS = ["fig1_msf.json", "fig2_full.json", "fig2_partial.json",
@@ -41,6 +42,26 @@ class TestLimitCycleCommand:
         assert run_subcommand(["limit-cycle", "--model", "vdp",
                                "--param", "mu=-1"]) == 2
         assert "mu" in capsys.readouterr().err
+
+    def test_param_overrides_config_model(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps(
+            {"model": {"name": "vdp", "params": {"mu": 1.0}}}))
+        assert run_subcommand(["limit-cycle", "--config", "c.json",
+                               "--param", "mu=2"]) == 0
+        summary = json.loads((tmp_path / "limit_cycle.json").read_text())
+        # mu = 2 runs slower than the config's mu = 1 (6.663).
+        assert summary["period"] == pytest.approx(7.6298744779, rel=1e-6)
+
+    def test_non_finite_initial_derivative_exits_1(self, tmp_path,
+                                                   monkeypatch, capsys):
+        # x1^2 overflows, so the field is NaN at the start.
+        monkeypatch.chdir(tmp_path)
+        start = time.perf_counter()
+        assert run_subcommand(["limit-cycle", "--model", "vdp",
+                               "--x0", "1e200,0"]) == 1
+        assert time.perf_counter() - start < 5.0
+        assert "StepFailure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -216,6 +237,27 @@ class TestVerifyCommand:
         path.write_text(json.dumps({"model": {"name": "wobbler"}}))
         assert run_subcommand(["verify", "--config", str(path)]) == 2
         assert "wobbler" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,seed", [([], 3), (["--seed", "5"], 5)],
+                             ids=["config-seed", "flag-over-config"])
+    def test_seed_flag_overrides_config(self, tmp_path, monkeypatch, flags,
+                                        seed):
+        seen = []
+
+        def no_cycle(*args, **kwargs):
+            raise FixedPointConvergence("cycle checks not under test")
+
+        monkeypatch.setattr(checks, "eig_det_product_error",
+                            lambda s: seen.append(s) or 0.0)
+        monkeypatch.setattr(cli, "find_limit_cycle", no_cycle)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps({"seed": 3}))
+        run_subcommand(["verify", "--quick", "--config", "c.json"] + flags)
+        assert seen == [seed]
+
+    def test_no_tolerance_flags(self):
+        with pytest.raises(SystemExit):
+            run_subcommand(["verify", "--rel-tol", "1e-6"])
 
     def test_quick_suite_passes(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from floqnet import floquet
+from floqnet import floquet, linalg
 from floqnet.exceptions import ClosureDrift, DimensionMismatch, \
     InvalidParam
 from floqnet.floquet import ajl_determinant, lf_decomposition, monodromy, \
@@ -125,28 +125,18 @@ class TestShiftLaw:
 
 
 class TestDeterminantIdentity:
-    def test_time_zero_trivial(self, vdp, vdp_cycle):
-        assert ajl_determinant(vdp, vdp_cycle, t=0.0) == (1.0, 1.0)
-
-    def test_time_outside_period_is_invalid(self, vdp, vdp_cycle):
-        for t in (-0.1, 1.01 * vdp_cycle.period):
-            with pytest.raises(InvalidParam):
-                ajl_determinant(vdp, vdp_cycle, t=t)
-
     def test_rotation_traceless(self, rotation, rotation_cycle):
-        for t in (0.5, 2.0, rotation_cycle.period):
-            lhs, rhs = ajl_determinant(rotation, rotation_cycle, t=t)
-            assert lhs == pytest.approx(1.0, abs=1e-9)
-            assert rhs == pytest.approx(1.0, abs=1e-12)
+        lhs, rhs = ajl_determinant(rotation, rotation_cycle)
+        assert lhs == pytest.approx(1.0, abs=1e-9)
+        assert rhs == pytest.approx(1.0, abs=1e-12)
 
     def test_vdp_partial_mask_includes_mask_trace_factor(self, vdp,
                                                          vdp_cycle):
         t = vdp_cycle.period
-        lhs, rhs = ajl_determinant(vdp, vdp_cycle, kappa=1.0, mask=[0, 1],
-                                   t=t)
+        lhs, rhs = ajl_determinant(vdp, vdp_cycle, kappa=1.0, mask=[0, 1])
         assert abs(lhs - rhs) < 1e-6 * rhs
         _, rhs_uncoupled = ajl_determinant(vdp, vdp_cycle, kappa=0.0,
-                                           mask=[0, 1], t=t)
+                                           mask=[0, 1])
         # tr(DH) = 1, so the coupled rhs carries exactly e^{-t}
         assert rhs == pytest.approx(rhs_uncoupled * np.exp(-t), rel=1e-12)
 
@@ -321,3 +311,16 @@ class TestClosureDrift:
                                      period=vdp_cycle.period * 1.02)
         with pytest.raises(ClosureDrift):
             monodromy(vdp, broken)
+        with pytest.raises(ClosureDrift):
+            ajl_determinant(vdp, broken)
+
+
+class TestCyclicMultipliers:
+    def test_single_factor_is_its_own_spectrum(self):
+        # A lift of one factor is that factor: the same sorted values,
+        # bit for bit, as a direct eigenvalue solve.
+        rng = np.random.default_rng(7)
+        for dim in (2, 3, 6):
+            a = rng.standard_normal((dim, dim))
+            assert np.array_equal(floquet._cyclic_multipliers([a]),
+                                  linalg.eigenvalues(a))

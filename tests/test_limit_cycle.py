@@ -5,8 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from floqnet.exceptions import FixedPointConvergence, NoCrossings, \
-    NotPeriodic
+from floqnet.exceptions import DimensionMismatch, FixedPointConvergence, \
+    NoCrossings, NotPeriodic
 from floqnet.limit_cycle import find_limit_cycle
 from floqnet.models import OscillatorModel, linear_rotation_model, \
     repressilator_model, vdp_model
@@ -170,6 +170,13 @@ class TestFailureModes:
         )
         with pytest.raises(NotPeriodic):
             find_limit_cycle(drift)
+
+    @pytest.mark.parametrize("model,x0", [(vdp_model(), [1.0, 2.0, 3.0]),
+                                          (repressilator_model(), [1.0, 2.0])],
+                             ids=["vdp", "repressilator"])
+    def test_wrong_length_x0_is_dimension_mismatch(self, model, x0):
+        with pytest.raises(DimensionMismatch):
+            find_limit_cycle(model, x0=x0)
 
     def test_vdp_mu_parameter_changes_period(self):
         slow = find_limit_cycle(vdp_model(2.0))

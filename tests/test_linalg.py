@@ -3,24 +3,12 @@ import numpy as np
 import pytest
 
 from floqnet.exceptions import NonDiagonalizable, SingularInput
-from floqnet.linalg import determinant, eigenvalues, log_principal, \
-    sort_spectrum
+from floqnet.linalg import eigenvalues, log_principal, sort_spectrum
 from oracles import expm
 
 EQ13_LAPLACIAN = np.array([[2.0, -1.0, -1.0],
                            [-1.0, 2.0, -1.0],
                            [-1.0, -1.0, 2.0]])
-
-
-def cofactor_det(a):
-    n = a.shape[0]
-    if n == 1:
-        return a[0, 0]
-    total = 0.0
-    for j in range(n):
-        minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
-        total += (-1.0) ** j * a[0, j] * cofactor_det(minor)
-    return total
 
 
 class TestEigenvalues:
@@ -49,7 +37,7 @@ class TestEigenvalues:
         for _ in range(100):
             dim = int(rng.integers(2, 9))
             a = rng.standard_normal((dim, dim))
-            det = determinant(a)
+            det = np.linalg.det(a)
             prod = np.prod(eigenvalues(a))
             assert abs(prod - det) < 1e-8 * max(abs(det), 1e-12)
 
@@ -62,21 +50,6 @@ class TestEigenvalues:
         assert w[0] == -3.0
         assert w[1] == 1 + 2j and w[2] == 1 - 2j
         assert w[3] == 0.5
-
-
-class TestDeterminant:
-    def test_identity(self):
-        assert determinant(np.eye(4)) == pytest.approx(1.0)
-
-    def test_laplacian_is_singular(self):
-        assert abs(determinant(EQ13_LAPLACIAN)) < 1e-14
-
-    def test_matches_cofactor_expansion(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            a = rng.standard_normal((4, 4))
-            ref = cofactor_det(a)
-            assert abs(determinant(a) - ref) < 1e-10 * max(abs(ref), 1e-12)
 
 
 class TestLogPrincipal:

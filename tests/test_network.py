@@ -22,6 +22,10 @@ class TestGraphs:
         assert np.array_equal(ring_graph(3).laplacian,
                               complete_graph(3).laplacian)
 
+    def test_ring_two_is_single_edge(self):
+        assert np.array_equal(ring_graph(2).laplacian,
+                              [[1.0, -1.0], [-1.0, 1.0]])
+
     def test_complete_four_spectrum(self):
         # characteristic polynomial s(s-4)^3
         eig = complete_graph(4).eigenvalues

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from floqnet.exceptions import Blowup, OutOfRange, StepBudgetExceeded
+from floqnet.exceptions import Blowup, DimensionMismatch, InvalidParam, \
+    OutOfRange, StepBudgetExceeded, StepFailure
 from floqnet.ode import IntegratorConfig, _dense_eval, _final_state, \
     integrate, integrate_with_events
 
@@ -37,12 +38,31 @@ class TestIntegrate:
         assert amp == pytest.approx(2.008619861, rel=0.02)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParam):
             IntegratorConfig(rel_tol=-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParam):
             IntegratorConfig(max_steps=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParam):
             integrate(harmonic, [1.0, 0.0], (1.0, 0.0))
+
+    def test_bad_initial_state(self):
+        with pytest.raises(InvalidParam):
+            integrate(harmonic, [np.nan, 0.0], (0.0, 1.0))
+        with pytest.raises(DimensionMismatch):
+            integrate(harmonic, np.zeros((1, 1, 2)), (0.0, 1.0))
+
+    def test_non_finite_initial_derivative_fails_at_once(self):
+        # Under the default step budget: a NaN first step, halved and
+        # still NaN, would otherwise run all 10 000 000 steps.
+        calls = []
+
+        def nan_at_start(x):
+            calls.append(1)
+            return np.array([np.nan, 0.0])
+
+        with pytest.raises(StepFailure):
+            integrate(nan_at_start, [1.0, 0.0], (0.0, 1.0))
+        assert len(calls) <= 2
 
     def test_step_budget(self):
         with pytest.raises(StepBudgetExceeded):
