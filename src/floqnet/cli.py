@@ -89,8 +89,6 @@ def load_config(path: str) -> dict:
             text = fh.read()
     else:
         name = os.path.basename(path)
-        if not name.endswith(".json"):
-            name += ".json"
         resource = importlib.resources.files("floqnet") / "configs" / name
         if resource.is_file():
             text = resource.read_text(encoding="utf-8")
@@ -152,9 +150,15 @@ def _floats_from(values, what):
         raise ConfigError(f"{what} must be a list of numbers") from exc
 
 
-def _mask_from(spec, dim):
-    full = spec is None or spec == "full"
-    return _resolve_mask(None if full else _floats_from(spec, "mask"), dim)
+def _coupling_from(config, dim, **flags):
+    """The config's coupling section, each given flag over its key, as a
+    :class:`CouplingSpec`, which applies the library's rules to it."""
+    section = _given(config.get("coupling"), **flags)
+    mask = section.get("mask", "full")
+    mask = None if mask == "full" else _floats_from(mask, "mask")
+    return CouplingSpec(K=section.get("K", 0.0),
+                        mask=_resolve_mask(mask, dim),
+                        activation_time=section.get("activation_time", 0.0))
 
 
 def _graph_from(config):
@@ -196,9 +200,9 @@ def _write_atomic(path, text):
         raise
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, table):
     lines = [",".join(header)]
-    for row in rows:
+    for row in table:
         lines.append(",".join(_fmt(v) for v in row))
     _write_atomic(path, "\n".join(lines) + "\n")
 
@@ -210,8 +214,7 @@ def _write_json(path, obj):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_limit_cycle(args):
-    config = load_config(args.config) if args.config else {}
+def _cmd_limit_cycle(args, config):
     model = _model_from(args, config)
     cfg = _integrator_from(args, config)
     x0 = None
@@ -223,8 +226,7 @@ def _cmd_limit_cycle(args):
 
     out = args.out or "limit_cycle"
     header = ["t"] + [f"x{j + 1}" for j in range(model.dim)]
-    rows = [[lc.times[k], *lc.samples[k]] for k in range(lc.n_samples)]
-    _write_csv(out + ".csv", header, rows)
+    _write_csv(out + ".csv", header, np.column_stack([lc.times, lc.samples]))
     summary = {"model": model.name, "period": lc.period,
                "closure_residual": lc.closure_residual}
     _write_json(out + ".json", summary)
@@ -232,13 +234,11 @@ def _cmd_limit_cycle(args):
     return 0
 
 
-def _cmd_floquet(args):
-    config = load_config(args.config) if args.config else {}
+def _cmd_floquet(args, config):
     model = _model_from(args, config)
     cfg = _integrator_from(args, config)
-    coupling = _given(config.get("coupling"), K=args.kappa, mask=args.mask)
-    kappa = float(coupling.get("K", 0.0))
-    mask = _mask_from(coupling.get("mask"), model.dim)
+    coupling = _coupling_from(config, model.dim, K=args.kappa, mask=args.mask)
+    kappa, mask = coupling.K, coupling.mask
     lc = find_limit_cycle(model, cfg=cfg)
     mon = monodromy(model, lc, kappa=kappa, mask=mask, cfg=cfg)
     lhs, rhs = ajl_determinant(model, lc, kappa=kappa, mask=mask, cfg=cfg)
@@ -273,8 +273,7 @@ plot '{csv}' using 1:2 skip 1 with linespoints, f(x) with lines dashtype 2
 """
 
 
-def _cmd_msf(args):
-    config = load_config(args.config) if args.config else {}
+def _cmd_msf(args, config):
     model = _model_from(args, config)
     cfg = _integrator_from(args, config)
     section = _given(config.get("msf"), kappa_min=args.kappa_min,
@@ -303,22 +302,18 @@ def _cmd_msf(args):
             raise ConfigError(f"unknown msf.spacing {spacing!r}")
         grid = _resolve_kappa_grid(grid)
 
-    coupling = _given(config.get("coupling"), mask=args.mask)
-    mask = _mask_from(coupling.get("mask"), model.dim)
+    mask = _coupling_from(config, model.dim, mask=args.mask).mask
     lc = find_limit_cycle(model, cfg=cfg)
     curve = msf_sweep(model, lc, mask, grid, cfg=cfg)
 
     header = ["kappa", "mu_max"]
     for j in range(model.dim):
         header += [f"mult_{j + 1}_re", f"mult_{j + 1}_im"]
-    rows = []
-    for point in curve.points:
-        row = [point.kappa, point.mu_max]
-        for m in point.multipliers:
-            row += [m.real, m.imag]
-        rows.append(row)
     out = args.out or "msf"
-    _write_csv(out + ".csv", header, rows)
+    # Complex multipliers viewed as floats interleave re, im.
+    _write_csv(out + ".csv", header, np.column_stack([
+        curve.kappas, curve.mu_max,
+        np.array([point.multipliers for point in curve.points]).view(float)]))
     if args.emit_plot_script:
         _write_atomic(out + ".gp", _GNUPLOT_TEMPLATE.format(
             csv=os.path.basename(out + ".csv")))
@@ -329,21 +324,15 @@ def _cmd_msf(args):
     return 0
 
 
-def _cmd_simulate(args):
+def _cmd_simulate(args, config):
     if not args.config:
         raise ConfigError("simulate requires --config")
-    config = load_config(args.config)
     model = _model_from(args, config)
     cfg = _integrator_from(args, config)
     graph = _graph_from(config)
-    coupling_cfg = config.get("coupling")
-    if coupling_cfg is None:
+    if "coupling" not in config:
         raise ConfigError("config is missing the 'coupling' section")
-    coupling = CouplingSpec(
-        K=float(coupling_cfg.get("K", 0.0)),
-        mask=_mask_from(coupling_cfg.get("mask"), model.dim),
-        activation_time=float(coupling_cfg.get("activation_time", 0.0)),
-    )
+    coupling = _coupling_from(config, model.dim)
     run_cfg = config.get("run")
     if run_cfg is None or "t_end" not in run_cfg:
         raise ConfigError("config is missing run.t_end")
@@ -370,10 +359,9 @@ def _cmd_simulate(args):
 
     header = ["t"] + [f"x_{i + 1}_{j + 1}" for i in range(graph.n)
                       for j in range(model.dim)] + ["sync_error"]
-    rows = [[run.times[k], *run.states[k], run.sync.error[k]]
-            for k in range(run.times.size)]
     out = args.out or "simulate"
-    _write_csv(out + ".csv", header, rows)
+    _write_csv(out + ".csv", header,
+               np.column_stack([run.times, run.states, run.sync.error]))
     _write_json(out + ".json", summary)
     print(json.dumps(summary, sort_keys=True))
     return 0
@@ -480,8 +468,7 @@ def verify_all(config=None, quick=False, seed=None):
     return reports, all(r["passed"] for r in reports)
 
 
-def _cmd_verify(args):
-    config = load_config(args.config) if args.config else {}
+def _cmd_verify(args, config):
     print("floqnet verify" + (" --quick" if args.quick else ""))
     reports, ok = verify_all(config=config, quick=args.quick,
                              seed=args.seed)
@@ -553,7 +540,8 @@ def run_subcommand(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config) if args.config
+                         else {})
     except ConfigError as exc:
         print(f"floqnet: config error: {exc}", file=sys.stderr)
         return 2

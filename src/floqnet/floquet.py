@@ -60,6 +60,16 @@ def _resolve_mask(mask, dim):
     return m
 
 
+def _check_closure(lc, x):
+    """Raise ClosureDrift if ``x`` is over 1e-4 (relative) from the anchor."""
+    drift = float(np.linalg.norm(x - lc.anchor) / np.linalg.norm(lc.anchor))
+    if drift > _CLOSURE_DRIFT_TOL:
+        raise ClosureDrift(
+            f"cycle state drifted {drift:.3g} (relative) over one period; "
+            "limit cycle and model are inconsistent"
+        )
+
+
 @dataclass(frozen=True)
 class Monodromy:
     """One-period state transition matrix of the variational system
@@ -130,13 +140,15 @@ def variational_factors(model: OscillatorModel, lc: LimitCycle, kappas,
     matrices at the identity.
 
     Returns the (B, p, m, m) segment factors and, ``with_trace``, the
-    integral of tr Df (else None).  Raises :class:`ClosureDrift` when the
-    cycle state ends more than 1e-4 (relative) from the anchor.
+    integral of tr Df (else None).  Raises :class:`InvalidParam` for a
+    non-finite kappa and :class:`ClosureDrift` (:func:`_check_closure`).
     """
     cfg = cfg or IntegratorConfig()
     m = model.dim
     mask_v = _resolve_mask(mask, m)
     kappas = np.asarray(kappas, dtype=float).ravel()
+    if not np.all(np.isfinite(kappas)):
+        raise InvalidParam(f"kappa must be finite, got {kappas}")
     # Keep the cyclic lift within the 64x64 eigenvalue budget.
     p = max(1, min(16, 64 // m))
     rhs = _variational_rhs(model, kappas, mask_v, with_trace)
@@ -153,12 +165,7 @@ def variational_factors(model: OscillatorModel, lc: LimitCycle, kappas,
         factors[:, i] = z_end[:, m:m + m * m].reshape(-1, m, m)
         if with_trace:
             trace_integral += float(z_end[0, -1])
-    drift = float(np.linalg.norm(x - lc.anchor) / np.linalg.norm(lc.anchor))
-    if drift > _CLOSURE_DRIFT_TOL:
-        raise ClosureDrift(
-            f"cycle state drifted {drift:.3g} (relative) over one period; "
-            "limit cycle and model are inconsistent"
-        )
+    _check_closure(lc, x)
     return factors, trace_integral
 
 
@@ -287,13 +294,14 @@ def lf_decomposition(model: OscillatorModel, lc: LimitCycle,
     periodicity residual saturate at roughly eps * cond(phi) regardless of
     integration tolerance.
 
-    Raises ``SingularInput`` / ``NonDiagonalizable`` from the matrix
-    logarithm when the monodromy violates its preconditions.
+    Raises :class:`ClosureDrift` as :func:`monodromy` does, and
+    ``SingularInput`` / ``NonDiagonalizable`` from the matrix logarithm.
     """
     m = model.dim
     rhs = _variational_rhs(model, [0.0], np.ones(m))
     z0 = np.concatenate([lc.anchor, np.eye(m).ravel()])[None]
     traj = integrate(rhs, z0, (0.0, lc.period), cfg)
+    _check_closure(lc, traj.states[-1, 0, :m])
     # phi(t, 0) at the sampled phases, then at t = T for the residual.
     rows = np.concatenate([traj.eval(lc.times), traj.states[-1:]])
     phis = rows[:, 0, m:].reshape(-1, m, m)

@@ -51,10 +51,6 @@ class LimitCycle:
     samples: np.ndarray
     closure_residual: float
 
-    @property
-    def n_samples(self):
-        return self.samples.shape[0]
-
 
 def _relaxed(cfg: IntegratorConfig) -> IntegratorConfig:
     # Transient legs only need to land near the attractor; tight error

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import NonConvergence, NonDiagonalizable, SingularInput
+from .exceptions import DimensionMismatch, InvalidParam, NonConvergence, \
+    NonDiagonalizable, SingularInput
 
 __all__ = [
     "eigenvalues",
@@ -34,9 +35,9 @@ DIAGONALIZABILITY_COND_LIMIT = 1e8
 def _as_square(m):
     a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
+        raise DimensionMismatch(f"matrix must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
+        raise InvalidParam("matrix has non-finite entries")
     return a
 
 
@@ -61,7 +62,8 @@ def eigenvalues(m):
     """
     a = _as_square(m)
     if a.shape[0] > _MAX_EIG_DIM:
-        raise ValueError(f"dimension {a.shape[0]} exceeds limit {_MAX_EIG_DIM}")
+        raise DimensionMismatch(
+            f"dimension {a.shape[0]} exceeds limit {_MAX_EIG_DIM}")
     try:
         w = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, InvalidAdjacency
+from .exceptions import DimensionMismatch, InvalidAdjacency, InvalidParam
 from .floquet import _resolve_mask
 from .models import OscillatorModel
 from .ode import IntegratorConfig, integrate
@@ -54,8 +54,8 @@ class GraphSpec:
 
 @dataclass(frozen=True)
 class CouplingSpec:
-    """Coupling gain K, 0/1 diagonal coupling mask, and the time at which
-    coupling switches on (zero gain before, K after)."""
+    """Finite coupling gain K, 0/1 diagonal coupling mask, and the time at
+    which coupling switches on (zero gain before, K after)."""
 
     K: float
     mask: np.ndarray
@@ -67,6 +67,8 @@ class CouplingSpec:
         object.__setattr__(self, "mask",
                            _resolve_mask(self.mask, np.size(self.mask)))
         object.__setattr__(self, "K", float(self.K))
+        if not np.isfinite(self.K):
+            raise InvalidParam(f"coupling gain K must be finite, got {self.K}")
 
 
 @dataclass(frozen=True)
@@ -126,6 +128,8 @@ def from_adjacency(adjacency) -> GraphSpec:
     a = np.asarray(adjacency, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidAdjacency(f"adjacency must be square, got {a.shape}")
+    if a.shape[0] < 2:
+        raise InvalidAdjacency(f"need n >= 2 nodes, got {a.shape[0]}")
     scale = max(np.abs(a).max(), 1.0)
     if np.abs(a - a.T).max() > _SYM_TOL * scale:
         raise InvalidAdjacency("adjacency must be symmetric")
@@ -206,6 +210,8 @@ def simulate_network(model: OscillatorModel, graph: GraphSpec,
         raise DimensionMismatch(
             f"t_end ({t_end}) must exceed activation_time ({t_on})"
         )
+    if output_points < 1:
+        raise InvalidParam(f"output_points must be >= 1, got {output_points}")
 
     uncoupled = assemble_coupled_field(
         model, graph, CouplingSpec(K=0.0, mask=coupling.mask)
@@ -218,14 +224,9 @@ def simulate_network(model: OscillatorModel, graph: GraphSpec,
     x_on = x0
     if t_on > 0:
         phase1 = integrate(uncoupled, x0, (0.0, t_on), cfg)
-        states[~on] = _sample(phase1, times[~on])
+        states[~on] = phase1.eval(times[~on])
         x_on = phase1.states[-1]
     phase2 = integrate(coupled, x_on, (t_on, float(t_end)), cfg)
-    states[on] = _sample(phase2, times[on])
+    states[on] = phase2.eval(times[on])
     sync = sync_error(times, states, n, m)
     return NetworkRun(times=times, states=states, sync=sync)
-
-
-def _sample(traj, times):
-    # The last node time may round off the requested end of the span.
-    return traj.eval(np.clip(times, traj.times[0], traj.times[-1]))

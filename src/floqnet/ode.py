@@ -310,9 +310,9 @@ def integrate_with_events(field, x0, t_span, cfg=None, event=None):
     to non-negative, refined on the dense interpolant.
     """
     if event is None:
-        raise ValueError("event function required")
+        raise InvalidParam("event function required")
     if np.ndim(x0) != 1:
-        raise ValueError("events need a 1-D state vector x0")
+        raise DimensionMismatch("events need a 1-D state vector x0")
     return _consume(field, x0, t_span, cfg or IntegratorConfig(), event)
 
 

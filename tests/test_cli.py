@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from floqnet import checks, cli
+from floqnet import checks, cli, network
 from floqnet.cli import load_config, run_subcommand
 from floqnet.exceptions import ConfigError, FixedPointConvergence
 from floqnet.floquet import monodromy
@@ -107,6 +107,26 @@ def test_bad_mask_or_grid_fails_before_cycle_search(argv, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv,coupling", [
+    (["floquet", "--model", "vdp", "--kappa", "nan"], {}),
+    (["floquet", "--model", "vdp", "--kappa", "inf", "--mask", "0,1"], {}),
+    (["msf", "--model", "vdp", "--config", "c.json"],
+     {"mask": [0, 1], "activation_time": -1.0}),
+], ids=["floquet-nan-kappa", "floquet-inf-kappa",
+        "msf-negative-activation-time"])
+def test_bad_coupling_fails_before_cycle_search(argv, coupling, tmp_path,
+                                                monkeypatch, capsys):
+    def no_search(*args, **kwargs):
+        raise AssertionError("find_limit_cycle ran on invalid input")
+
+    monkeypatch.setattr(cli, "find_limit_cycle", no_search)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({"coupling": coupling}))
+    assert run_subcommand(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
 class TestFloquetCommand:
     def test_json_contract(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -190,6 +210,28 @@ class TestSimulateCommand:
         monkeypatch.chdir(tmp_path)
         assert run_subcommand(["simulate"]) == 2
 
+    @pytest.mark.parametrize("change", [
+        {"run": {"t_end": 10.0, "output_grid_points": 0}},
+        {"run": {"t_end": 10.0, "output_grid_points": -3}},
+        {"graph": {"kind": "adjacency", "adjacency": [[0]]},
+         "initial": [0, 1]},
+    ], ids=["no-output-points", "negative-output-points", "one-node-graph"])
+    def test_bad_run_or_graph_exits_2_before_integrating(
+            self, change, tmp_path, monkeypatch, capsys):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated an invalid config")
+
+        monkeypatch.setattr(network, "integrate", no_integration)
+        monkeypatch.chdir(tmp_path)
+        config = {"model": {"name": "vdp"}, "initial": [0, 1, 2, 3, 4, 5],
+                  "graph": {"kind": "complete", "n": 3},
+                  "coupling": {"K": 1.0, "mask": [1, 1]},
+                  "run": {"t_end": 10.0}}
+        (tmp_path / "c.json").write_text(json.dumps({**config, **change}))
+        assert run_subcommand(["simulate", "--config", "c.json"]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
 
 class TestConfigs:
     @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
@@ -221,6 +263,10 @@ class TestConfigs:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("no_such_config.json")
+
+    def test_shipped_name_needs_extension(self):
+        with pytest.raises(ConfigError, match="not found"):
+            load_config("fig2_full")
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"

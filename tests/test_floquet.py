@@ -26,7 +26,7 @@ VDP_MU2_REF = 8.596950636061e-04  # rel_tol 1e-12 reference
 def simpson_trace_integral(model, lc):
     """Quadrature oracle: integral of tr Df(x_s) over one period, from the
     stored uniform samples (independent of any ODE-based route)."""
-    n = lc.n_samples
+    n = len(lc.samples)
     g = np.array([np.trace(model.jacobian(s)) for s in lc.samples])
     g = np.append(g, g[0])  # periodic closure
     h = lc.period / n
@@ -298,9 +298,9 @@ class TestLFBatchedAgainstPerPhase:
         monkeypatch.setattr(floquet, "_inv_or_pinv",
                             lambda a: calls.append(1) or real_inv(a))
         lf = lf_decomposition(vdp, vdp_cycle)
-        assert len(calls) == vdp_cycle.n_samples + 1
+        assert len(calls) == len(vdp_cycle.samples) + 1
         assert np.all(np.isfinite(lf.P_samples))
-        others = np.arange(vdp_cycle.n_samples) != k
+        others = np.arange(len(vdp_cycle.samples)) != k
         assert np.array_equal(lf.P_samples[others], clean.P_samples[others])
         assert lf.periodicity_residual == clean.periodicity_residual
 
@@ -313,6 +313,15 @@ class TestClosureDrift:
             monodromy(vdp, broken)
         with pytest.raises(ClosureDrift):
             ajl_determinant(vdp, broken)
+        with pytest.raises(ClosureDrift):
+            lf_decomposition(vdp, broken)
+
+
+def test_non_finite_kappa_is_invalid(vdp, vdp_cycle):
+    with pytest.raises(InvalidParam):
+        floquet.variational_factors(vdp, vdp_cycle, [1.0, np.nan])
+    with pytest.raises(InvalidParam):
+        monodromy(vdp, vdp_cycle, kappa=np.inf)
 
 
 class TestCyclicMultipliers:

@@ -67,7 +67,7 @@ class TestVdpCycle:
 
     def test_period_independent_of_anchor_phase(self, vdp, vdp_cycle):
         # start from a mid-cycle state: different section point, same orbit
-        x_mid = vdp_cycle.samples[vdp_cycle.n_samples // 3]
+        x_mid = vdp_cycle.samples[len(vdp_cycle.samples) // 3]
         rebuilt = find_limit_cycle(vdp, x0=x_mid)
         assert rebuilt.period == pytest.approx(vdp_cycle.period, rel=1e-8)
 

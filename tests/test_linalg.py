@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from floqnet.exceptions import NonDiagonalizable, SingularInput
+from floqnet.exceptions import DimensionMismatch, InvalidParam, \
+    NonDiagonalizable, SingularInput
 from floqnet.linalg import eigenvalues, log_principal, sort_spectrum
 from oracles import expm
 
@@ -42,8 +43,15 @@ class TestEigenvalues:
             assert abs(prod - det) < 1e-8 * max(abs(det), 1e-12)
 
     def test_dimension_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch):
             eigenvalues(np.eye(65))
+
+    @pytest.mark.parametrize("func", [eigenvalues, log_principal])
+    def test_bad_matrix_is_config_error(self, func):
+        with pytest.raises(DimensionMismatch):
+            func(np.ones((2, 3)))
+        with pytest.raises(InvalidParam):
+            func(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
     def test_sort_order_is_deterministic(self):
         w = sort_spectrum([1 - 2j, 1 + 2j, -3.0, 0.5])

@@ -167,3 +167,11 @@ class TestSyncPredicate:
         graph = from_adjacency(two_pairs)
         with pytest.raises(DisconnectedGraph):
             sync_predicate(vdp, vdp_cycle, graph, 1.0)
+
+    # inf * lambda_1 = inf * 0 warns before the nan kappa is refused.
+    @pytest.mark.parametrize("K", [np.nan, pytest.param(
+        np.inf, marks=pytest.mark.filterwarnings(
+            "ignore:invalid value:RuntimeWarning"))])
+    def test_non_finite_gain_is_invalid(self, vdp, vdp_cycle, K):
+        with pytest.raises(InvalidParam):
+            sync_predicate(vdp, vdp_cycle, complete_graph(3), K)

@@ -3,8 +3,9 @@ simulation, and the synchronization error metric."""
 import numpy as np
 import pytest
 
+from floqnet import network
 from floqnet.exceptions import Blowup, DimensionMismatch, InvalidAdjacency, \
-    StepBudgetExceeded, StepFailure
+    InvalidParam, StepBudgetExceeded, StepFailure
 from floqnet.network import CouplingSpec, assemble_coupled_field, \
     complete_graph, from_adjacency, ring_graph, simulate_network, sync_error
 from floqnet.ode import IntegratorConfig, integrate
@@ -55,6 +56,10 @@ class TestGraphs:
             from_adjacency(np.array([[1.0, 1.0], [1.0, 0.0]]))  # diagonal
         with pytest.raises(InvalidAdjacency):
             complete_graph(1)
+
+    def test_one_node_adjacency_rejected(self):
+        with pytest.raises(InvalidAdjacency):
+            from_adjacency([[0.0]])
 
 
 class TestCoupledField:
@@ -111,6 +116,12 @@ class TestCoupledField:
             CouplingSpec(K=1.0, mask=[1, 2])
 
 
+@pytest.mark.parametrize("K", [np.nan, np.inf, -np.inf])
+def test_non_finite_gain_rejected(K):
+    with pytest.raises(InvalidParam):
+        CouplingSpec(K=K, mask=[1, 1])
+
+
 class TestSyncError:
     def test_identical_rows_zero(self):
         states = np.tile([1.0, 2.0], (5, 3))
@@ -157,6 +168,32 @@ class TestSimulation:
         nodes = run.states.reshape(run.times.size, 3, 2)
         for node in range(3):
             assert np.abs(nodes[:, node] - reference).max() < 1e-6
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_output_points_below_one_rejected_before_integrating(
+            self, vdp, fig2_initial, monkeypatch, points):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated with an invalid output grid")
+
+        monkeypatch.setattr(network, "integrate", no_integration)
+        with pytest.raises(InvalidParam):
+            simulate_network(vdp, complete_graph(3),
+                             CouplingSpec(K=1.0, mask=[1, 1]), fig2_initial,
+                             10.0, output_points=points)
+
+    @pytest.mark.parametrize("t_span", [
+        (0.0, 20.0), (20.0, 100.0), (20.0, 140.0),
+        (0.0, 7.3), (0.1, 0.7), (1.0 / 3.0, 2.0 * np.pi), (13.7, 41.3),
+    ])
+    def test_coupled_run_ends_exactly_at_span_end(self, vdp, fig2_initial,
+                                                  t_span):
+        # The last step lands on t1 exactly, so the output grid needs no
+        # clipping to stay inside the integrated span.
+        field = assemble_coupled_field(vdp, complete_graph(3),
+                                       CouplingSpec(K=1.0, mask=[0, 1]))
+        traj = integrate(field, fig2_initial, t_span)
+        assert traj.times[0] == t_span[0]
+        assert traj.times[-1] == t_span[1]
 
     def test_fig2_scenario_synchronizes(self, vdp, fig2_initial):
         run = simulate_network(

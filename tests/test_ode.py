@@ -235,8 +235,13 @@ class TestEvents:
         assert gaps[-1] == pytest.approx(6.663286859322, rel=1e-6)
 
     def test_requires_event(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParam):
             integrate_with_events(harmonic, [1.0, 0.0], (0.0, 1.0))
+
+    def test_batch_state_is_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            integrate_with_events(harmonic, [[1.0, 0.0]], (0.0, 1.0),
+                                  event=lambda x: x[1])
 
 
 def rk4_fixed(field, x0, t_span, n_steps):
