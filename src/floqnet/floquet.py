@@ -4,14 +4,19 @@ factorization.
 
 The variational equation is integrated jointly with the cycle state (an
 augmented m + m^2 system), so no interpolation of the reference orbit
-enters the multiplier error budget; several couplings kappa share one such
-integration (:func:`variational_factors`).  The one-period transition matrix is
-accumulated in segments::
+enters the multiplier error budget.  The one-period transition matrix is
+a product of segment factors::
 
-    phi(T, 0) = A_p @ ... @ A_1,        A_i = phi(t_i, t_{i-1})
+    phi(T, 0) = A_p @ ... @ A_1,        A_s = phi(t_{s+1}, t_s)
 
-and the multipliers are taken from the block-cyclic lift of the factor
-sequence: the eigenvalues of the pm x pm matrix with A_i on its cyclic
+computed by multiple shooting: segment s starts on the stored cycle sample
+nearest s*T/p, and all p segments, for every coupling kappa, are
+integrated side by side as one batch on one step sequence
+(:func:`variational_factors`).  Each segment must land on the next one's
+start, the last on the anchor (:func:`_check_closure`).
+
+The multipliers are taken from the block-cyclic lift of the factor
+sequence: the eigenvalues of the pm x pm matrix with A_s on its cyclic
 block subdiagonal are the p-th roots of the eigenvalues of the product.
 Each factor is well conditioned even when the full product is not, so
 multipliers far below the eigenvalue noise floor of the assembled product
@@ -60,13 +65,27 @@ def _resolve_mask(mask, dim):
     return m
 
 
-def _check_closure(lc, x):
-    """Raise ClosureDrift if ``x`` is over 1e-4 (relative) from the anchor."""
-    drift = float(np.linalg.norm(x - lc.anchor) / np.linalg.norm(lc.anchor))
-    if drift > _CLOSURE_DRIFT_TOL:
+def _segments(n_samples, p):
+    """Sample indices of the p segment starts, each the sample nearest
+    s*T/p, and each segment's time scale c_s = L_s / mean(L): a segment
+    integrated for T/p in scaled time then covers exactly its L_s."""
+    bounds = np.rint(np.arange(p + 1) * (n_samples / p)).astype(int)
+    return bounds[:-1], np.diff(bounds) * (p / n_samples)
+
+
+def _check_closure(lc, ends, starts):
+    """Raise ClosureDrift, naming the first offending segment, unless each
+    segment end lies within 1e-4 (relative to the anchor) of the next
+    segment's start sample, and the last one of the anchor."""
+    targets = lc.samples[np.roll(starts, -1)]
+    gaps = np.linalg.norm(ends - targets, axis=1) / np.linalg.norm(lc.anchor)
+    bad = np.flatnonzero(~(gaps <= _CLOSURE_DRIFT_TOL))  # NaN included
+    if bad.size:
+        s = bad[0]
         raise ClosureDrift(
-            f"cycle state drifted {drift:.3g} (relative) over one period; "
-            "limit cycle and model are inconsistent"
+            f"segment {s + 1} of {len(starts)} ended {gaps[s]:.3g} "
+            "(relative) from the next segment's start; limit cycle and "
+            "model are inconsistent"
         )
 
 
@@ -107,26 +126,33 @@ class LFDecomposition:
     period: float
 
 
-def _variational_rhs(model, kappas, mask, with_trace=False):
-    """Right-hand side of the augmented system on a (B, n) batch: row b is
-    ``[x, vec Y_b]`` (plus the Jacobian trace integral ``with_trace``),
-    with Y_b' = [Df(x) - kappas[b] * DH] Y_b.  All rows carry the same
-    cycle state, so f and its Jacobian are evaluated once per call."""
-    m = model.dim
-    f, jac = model.field, model.jacobian
+def _variational_rhs(model, kappas, mask, scales, with_trace=False):
+    """Right-hand side of the augmented system of p segments and B
+    couplings on a (B*p, n) batch: row b*p + s is ``[x_s, vec Y_bs]``
+    (plus the Jacobian trace integral ``with_trace``), with time scaled by
+    c_s = ``scales[s]``, so x_s' = c_s f(x_s) and
+    Y_bs' = c_s [Df(x_s) - kappas[b] * DH] Y_bs.  Rows of one segment
+    carry the same state, so f and its Jacobian are evaluated once per
+    segment, in one batch call each."""
+    m, p = model.dim, len(scales)
     mm = m * m
+    f, jac = model.node_field, model.node_jacobian
+    c = np.asarray(scales, dtype=float)[:, None]
+    c3 = c[:, :, None]
     # diag(mask) is DH; constant along the cycle (linear coupling).
-    shift = np.asarray(kappas, dtype=float)[:, None, None] * np.diag(mask)
+    shift = (np.asarray(kappas, dtype=float)[:, None, None, None] * c3
+             * np.diag(mask))
 
     def rhs(z):
-        x = z[0, :m]
-        a = jac(x)
+        xs = z[:p, :m]
+        a = jac(xs) * c3
         out = np.empty_like(z)
-        out[:, :m] = f(x)
-        ys = z[:, m:m + mm].reshape(-1, m, m)
+        by_coupling = out.reshape(-1, p, z.shape[1])
+        by_coupling[:, :, :m] = f(xs) * c
+        ys = z[:, m:m + mm].reshape(-1, p, m, m)
         out[:, m:m + mm] = ((a - shift) @ ys).reshape(-1, mm)
         if with_trace:
-            out[:, -1] = np.trace(a)
+            by_coupling[:, :, -1] = np.trace(a, axis1=1, axis2=2)
         return out
 
     return rhs
@@ -135,37 +161,41 @@ def _variational_rhs(model, kappas, mask, with_trace=False):
 def variational_factors(model: OscillatorModel, lc: LimitCycle, kappas,
                         mask=None, cfg: IntegratorConfig | None = None,
                         with_trace: bool = False):
-    """Integrate the cycle with one variational matrix per kappa on one
-    step sequence over one period, in p legs that each restart the
-    matrices at the identity.
+    """Segment factors of the one-period variational flow for every kappa,
+    by multiple shooting.
+
+    The period is cut into p segments (p = 16, or fewer so that the cyclic
+    lift stays within 64 x 64).  Segment s starts at the cycle sample
+    nearest s*T/p with its matrices at the identity, and runs with its
+    time scaled by c_s = L_s / mean(L), so every segment ends at the same
+    scaled time T/p (c_s = 1 whenever p divides the sample count).  All
+    segments and kappas are one (B*p, m + m^2) batch integrated on one
+    step sequence.
 
     Returns the (B, p, m, m) segment factors and, ``with_trace``, the
     integral of tr Df (else None).  Raises :class:`InvalidParam` for a
-    non-finite kappa and :class:`ClosureDrift` (:func:`_check_closure`).
+    non-finite kappa and :class:`ClosureDrift` when a segment does not
+    land within 1e-4 of the next segment's start (:func:`_check_closure`).
     """
     cfg = cfg or IntegratorConfig()
     m = model.dim
+    mm = m * m
     mask_v = _resolve_mask(mask, m)
     kappas = np.asarray(kappas, dtype=float).ravel()
     if not np.all(np.isfinite(kappas)):
         raise InvalidParam(f"kappa must be finite, got {kappas}")
     # Keep the cyclic lift within the 64x64 eigenvalue budget.
     p = max(1, min(16, 64 // m))
-    rhs = _variational_rhs(model, kappas, mask_v, with_trace)
-    bounds = np.linspace(0.0, lc.period, p + 1)
-    z0 = np.zeros((kappas.size, m + m * m + int(with_trace)))
-    z0[:, m:m + m * m] = np.eye(m).ravel()
-    x = lc.anchor.copy()
-    factors = np.empty((kappas.size, p, m, m))
-    trace_integral = 0.0 if with_trace else None
-    for i in range(p):
-        z0[:, :m] = x
-        z_end = _final_state(rhs, z0, (0.0, bounds[i + 1] - bounds[i]), cfg)
-        x = z_end[0, :m]
-        factors[:, i] = z_end[:, m:m + m * m].reshape(-1, m, m)
-        if with_trace:
-            trace_integral += float(z_end[0, -1])
-    _check_closure(lc, x)
+    starts, scales = _segments(len(lc.samples), p)
+    rhs = _variational_rhs(model, kappas, mask_v, scales, with_trace)
+    z0 = np.zeros((kappas.size, p, m + mm + int(with_trace)))
+    z0[:, :, :m] = lc.samples[starts]
+    z0[:, :, m:m + mm] = np.eye(m).ravel()
+    z_end = _final_state(rhs, z0.reshape(kappas.size * p, -1),
+                         (0.0, lc.period / p), cfg).reshape(z0.shape)
+    _check_closure(lc, z_end[0, :, :m], starts)
+    factors = z_end[:, :, m:m + mm].reshape(-1, p, m, m)
+    trace_integral = float(z_end[0, :, -1].sum()) if with_trace else None
     return factors, trace_integral
 
 
@@ -298,10 +328,11 @@ def lf_decomposition(model: OscillatorModel, lc: LimitCycle,
     ``SingularInput`` / ``NonDiagonalizable`` from the matrix logarithm.
     """
     m = model.dim
-    rhs = _variational_rhs(model, [0.0], np.ones(m))
+    # One segment of the variational system, c = 1, kept as a dense pass.
+    rhs = _variational_rhs(model, [0.0], np.ones(m), [1.0])
     z0 = np.concatenate([lc.anchor, np.eye(m).ravel()])[None]
     traj = integrate(rhs, z0, (0.0, lc.period), cfg)
-    _check_closure(lc, traj.states[-1, 0, :m])
+    _check_closure(lc, traj.states[-1, :, :m], np.zeros(1, dtype=int))
     # phi(t, 0) at the sampled phases, then at t = T for the residual.
     rows = np.concatenate([traj.eval(lc.times), traj.states[-1:]])
     phis = rows[:, 0, m:].reshape(-1, m, m)

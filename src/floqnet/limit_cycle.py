@@ -5,8 +5,9 @@ Strategy: settle past the transient, scout one window to pick a Poincare
 section through the coordinate with the largest swing (robust when some
 states barely move, e.g. repressilator mRNAs), then stream upward section
 returns at full accuracy until the returns the period average spans agree.
-The final cycle is re-integrated from the last (most converged) return
-and stored as uniform-phase samples.
+The final cycle is re-integrated from the last (most converged) return,
+at 1/100 of the configured tolerances, and stored as uniform-phase
+samples.
 """
 from __future__ import annotations
 
@@ -42,7 +43,11 @@ class LimitCycle:
     """A periodic orbit: period, anchor state, and uniform-phase samples.
 
     ``samples[k]`` is the orbit at time ``times[k] = k*T/N`` past the
-    anchor, taken from the dense output of one integration over a period.
+    anchor, taken from the dense output of one integration over a period
+    at 1/100 of the configured tolerances.  The samples are the segment
+    starts of every variational pass
+    (:func:`~floqnet.floquet.variational_factors`), so their error enters
+    the multipliers directly.
     """
 
     period: float
@@ -148,7 +153,10 @@ def find_limit_cycle(model: OscillatorModel, x0=None,
     period = float(np.mean(np.diff(t_cross[-_AVERAGED_RETURNS:])))
 
     anchor = states[-1]
-    one_period = integrate(f, anchor, (0.0, period), cfg)
+    # The samples start the variational segments: integrate them tighter.
+    closing = replace(cfg, rel_tol=cfg.rel_tol / 100,
+                      abs_tol=cfg.abs_tol / 100)
+    one_period = integrate(f, anchor, (0.0, period), closing)
     closure = float(
         np.linalg.norm(one_period.states[-1] - anchor)
         / np.linalg.norm(anchor)

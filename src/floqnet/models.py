@@ -1,9 +1,10 @@
 """Oscillator model registry.
 
 Each model bundles a named autonomous vector field with its analytic
-Jacobian, default parameters, a sensible initial condition, and a hint for
-how long the transient onto the attractor takes.  Models are immutable and
-safe to share between threads.
+Jacobian, both also as batches over the rows of an (n, m) array, default
+parameters, a sensible initial condition, and a hint for how long the
+transient onto the attractor takes.  Models are immutable and safe to
+share between threads.
 
 Registered models:
 
@@ -40,7 +41,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OscillatorModel:
-    """A named vector field f: R^m -> R^m with analytic Jacobian."""
+    """A named vector field f: R^m -> R^m with analytic Jacobian.
+
+    ``node_field`` maps an (n, m) array of states to their (n, m) fields
+    and ``node_jacobian`` to their (n, m, m) Jacobians; left as None they
+    stack the per-state calls.  They must agree with ``field`` and
+    ``jacobian``, so a :func:`dataclasses.replace` that swaps ``field`` or
+    ``jacobian`` must swap its batch form as well.
+    """
 
     name: str
     dim: int
@@ -49,6 +57,8 @@ class OscillatorModel:
     jacobian: Callable[[np.ndarray], np.ndarray]
     default_initial: np.ndarray
     transient_hint: float = 50.0
+    node_field: Callable[[np.ndarray], np.ndarray] | None = None
+    node_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         x0 = np.asarray(self.default_initial, dtype=float)
@@ -57,6 +67,18 @@ class OscillatorModel:
                 f"default_initial must have shape ({self.dim},), got {x0.shape}"
             )
         object.__setattr__(self, "default_initial", x0)
+        if self.node_field is None:
+            object.__setattr__(self, "node_field", _stacked(self.field))
+        if self.node_jacobian is None:
+            object.__setattr__(self, "node_jacobian",
+                               _stacked(self.jacobian))
+
+
+def _stacked(fn):
+    """``fn`` applied to each row of an (n, m) array, stacked."""
+    def batch(xs):
+        return np.array([fn(x) for x in xs])
+    return batch
 
 
 def vdp_model(mu: float = 1.0) -> OscillatorModel:
@@ -76,9 +98,25 @@ def vdp_model(mu: float = 1.0) -> OscillatorModel:
             [-2.0 * mu * x1 * x2 - 1.0, mu * (1.0 - _pow(x1, 2))],
         ])
 
+    def node_f(xs):
+        x1, x2 = xs[:, 0], xs[:, 1]
+        out = np.empty_like(xs)
+        out[:, 0] = x2
+        out[:, 1] = mu * (1.0 - x1 ** 2) * x2 - x1
+        return out
+
+    def node_jac(xs):
+        x1, x2 = xs[:, 0], xs[:, 1]
+        out = np.zeros((len(xs), 2, 2))
+        out[:, 0, 1] = 1.0
+        out[:, 1, 0] = -2.0 * mu * x1 * x2 - 1.0
+        out[:, 1, 1] = mu * (1.0 - x1 ** 2)
+        return out
+
     return OscillatorModel(
         name="vdp", dim=2, params={"mu": mu}, field=f, jacobian=jac,
         default_initial=np.array([2.0, 0.0]), transient_hint=50.0,
+        node_field=node_f, node_jacobian=node_jac,
     )
 
 
@@ -92,6 +130,11 @@ def _pow(a, b):
         return math.inf
 
 
+def _warn_clipped():
+    warnings.warn("negative concentration clipped to 0 in Hill term",
+                  RuntimeWarning, stacklevel=3)
+
+
 def _hill(p, alpha, n):
     """alpha / (1 + p^n) with p clipped to zero from below.
 
@@ -100,8 +143,7 @@ def _hill(p, alpha, n):
     fractional Hill exponents stay real-valued.
     """
     if p < 0.0:
-        warnings.warn("negative concentration clipped to 0 in Hill term",
-                      RuntimeWarning, stacklevel=2)
+        _warn_clipped()
         p = 0.0
     return alpha / (1.0 + _pow(p, n))
 
@@ -152,12 +194,40 @@ def repressilator_model(alpha: float = 1000.0, alpha0: float = 1.0,
             J[2 * j + 1, 2 * j + 1] = -beta
         return J
 
+    # The batch forms: mRNAs sit in the even columns, proteins in the odd,
+    # and the repressor of the mRNA in column 2j is column rep_idx[j].
+    rep = np.array(rep_idx)
+    hill_entries = 12 * np.arange(3) + rep  # J[2j, rep_idx[j]], flattened
+    jac_const = np.zeros((6, 6))
+    for j in range(3):
+        jac_const[2 * j, 2 * j] = -1.0
+        jac_const[2 * j + 1, 2 * j] = beta
+        jac_const[2 * j + 1, 2 * j + 1] = -beta
+
+    def node_f(xs):
+        p_rep = xs.take(rep, axis=1)
+        if p_rep.min() < 0.0:  # one warning per batch
+            _warn_clipped()
+            p_rep = np.maximum(p_rep, 0.0)
+        m = xs[:, 0::2]
+        out = np.empty_like(xs)
+        out[:, 0::2] = -m + alpha / (1.0 + p_rep ** n) + alpha0
+        out[:, 1::2] = -beta * (xs[:, 1::2] - m)
+        return out
+
+    def node_jac(xs):
+        p_rep = np.maximum(xs.take(rep, axis=1), 0.0)
+        out = np.repeat(jac_const[None], len(xs), axis=0)
+        out.reshape(len(xs), 36)[:, hill_entries] = (
+            -alpha * n * p_rep ** (n - 1.0) / (1.0 + p_rep ** n) ** 2)
+        return out
+
     return OscillatorModel(
         name="repressilator", dim=6,
         params={"alpha": alpha, "alpha0": alpha0, "beta": beta, "n": n},
         field=f, jacobian=jac,
         default_initial=np.array([0.0, 1.0, 0.0, 3.0, 0.0, 5.0]),
-        transient_hint=30.0,
+        transient_hint=30.0, node_field=node_f, node_jacobian=node_jac,
     )
 
 
@@ -173,9 +243,19 @@ def linear_rotation_model() -> OscillatorModel:
     def jac(x):
         return jac_const.copy()
 
+    def node_f(xs):
+        out = np.empty_like(xs)
+        out[:, 0] = xs[:, 1]
+        out[:, 1] = -xs[:, 0]
+        return out
+
+    def node_jac(xs):
+        return np.repeat(jac_const[None], len(xs), axis=0)
+
     return OscillatorModel(
         name="linear_rotation", dim=2, params={}, field=f, jacobian=jac,
         default_initial=np.array([1.0, 0.0]), transient_hint=0.0,
+        node_field=node_f, node_jacobian=node_jac,
     )
 
 

@@ -12,6 +12,7 @@ error control never straddles the switch.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,9 @@ class CouplingSpec:
     activation_time: float = 0.0
 
     def __post_init__(self):
-        if self.activation_time < 0:
-            raise DimensionMismatch("activation_time must be >= 0")
+        if not 0.0 <= self.activation_time < math.inf:
+            raise InvalidParam("activation_time must be finite and >= 0, "
+                               f"got {self.activation_time}")
         object.__setattr__(self, "mask",
                            _resolve_mask(self.mask, np.size(self.mask)))
         object.__setattr__(self, "K", float(self.K))
@@ -206,9 +208,10 @@ def simulate_network(model: OscillatorModel, graph: GraphSpec,
             f"initial state length {x0.size} != n*m = {n * m}"
         )
     t_on = float(coupling.activation_time)
-    if not t_end > t_on:
-        raise DimensionMismatch(
-            f"t_end ({t_end}) must exceed activation_time ({t_on})"
+    if not t_on < t_end < math.inf:
+        raise InvalidParam(
+            f"t_end ({t_end}) must be finite and exceed activation_time "
+            f"({t_on})"
         )
     if output_points < 1:
         raise InvalidParam(f"output_points must be >= 1, got {output_points}")

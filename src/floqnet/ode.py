@@ -144,8 +144,9 @@ def _integrate_core(field, x0, t_span, cfg):
     error norm.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise InvalidParam(f"t_span must satisfy t1 > t0, got {t_span}")
+    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
+        raise InvalidParam(
+            f"t_span must be finite with t1 > t0, got {t_span}")
     y0 = np.asarray(x0, dtype=float).copy()
     if y0.ndim not in (1, 2):
         raise DimensionMismatch(

@@ -1,6 +1,8 @@
 """Reference implementations that tests compare the package against."""
 import numpy as np
 
+from floqnet.ode import IntegratorConfig, _final_state
+
 
 def expm(m):
     """Matrix exponential by scaling and squaring with a truncated Taylor
@@ -29,3 +31,42 @@ def expm(m):
     for _ in range(s):
         result = result @ result
     return result
+
+
+def sequential_factors(model, lc, kappas, mask=None, cfg=None):
+    """The p-leg variational pass that multiple shooting replaced, the
+    oracle for :func:`floqnet.floquet.variational_factors`.
+
+    One step sequence carries the cycle state and one variational matrix
+    per kappa over the whole period, in p equal legs that each restart
+    the matrices at the identity; the cycle state runs on from the anchor
+    through every leg, with the scalar field and Jacobian.  Returns the
+    (B, p, m, m) segment factors and the cycle state after one period.
+    """
+    cfg = cfg or IntegratorConfig()
+    m = model.dim
+    mm = m * m
+    mask = np.ones(m) if mask is None else np.asarray(mask, dtype=float)
+    kappas = np.asarray(kappas, dtype=float).ravel()
+    p = max(1, min(16, 64 // m))
+    shift = kappas[:, None, None] * np.diag(mask)
+
+    def rhs(z):
+        x = z[0, :m]
+        out = np.empty_like(z)
+        out[:, :m] = model.field(x)
+        ys = z[:, m:].reshape(-1, m, m)
+        out[:, m:] = ((model.jacobian(x) - shift) @ ys).reshape(-1, mm)
+        return out
+
+    bounds = np.linspace(0.0, lc.period, p + 1)
+    z0 = np.zeros((kappas.size, m + mm))
+    z0[:, m:] = np.eye(m).ravel()
+    x = lc.anchor.copy()
+    factors = np.empty((kappas.size, p, m, m))
+    for i in range(p):
+        z0[:, :m] = x
+        z_end = _final_state(rhs, z0, (0.0, bounds[i + 1] - bounds[i]), cfg)
+        x = z_end[0, :m]
+        factors[:, i] = z_end[:, m:].reshape(-1, m, m)
+    return factors, x

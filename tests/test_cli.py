@@ -112,8 +112,10 @@ def test_bad_mask_or_grid_fails_before_cycle_search(argv, tmp_path,
     (["floquet", "--model", "vdp", "--kappa", "inf", "--mask", "0,1"], {}),
     (["msf", "--model", "vdp", "--config", "c.json"],
      {"mask": [0, 1], "activation_time": -1.0}),
+    (["msf", "--model", "vdp", "--config", "c.json"],
+     {"mask": [0, 1], "activation_time": float("nan")}),
 ], ids=["floquet-nan-kappa", "floquet-inf-kappa",
-        "msf-negative-activation-time"])
+        "msf-negative-activation-time", "msf-nan-activation-time"])
 def test_bad_coupling_fails_before_cycle_search(argv, coupling, tmp_path,
                                                 monkeypatch, capsys):
     def no_search(*args, **kwargs):
@@ -215,7 +217,9 @@ class TestSimulateCommand:
         {"run": {"t_end": 10.0, "output_grid_points": -3}},
         {"graph": {"kind": "adjacency", "adjacency": [[0]]},
          "initial": [0, 1]},
-    ], ids=["no-output-points", "negative-output-points", "one-node-graph"])
+        {"run": {"t_end": float("inf")}},
+    ], ids=["no-output-points", "negative-output-points", "one-node-graph",
+            "infinite-end-time"])
     def test_bad_run_or_graph_exits_2_before_integrating(
             self, change, tmp_path, monkeypatch, capsys):
         def no_integration(*args, **kwargs):

@@ -18,7 +18,8 @@ from floqnet.floquet import ajl_determinant, lf_decomposition, monodromy, \
     shifted_multipliers_fullstate
 from floqnet.limit_cycle import find_limit_cycle
 from floqnet.models import get_model
-from oracles import expm
+from floqnet.msf import _point, default_kappa_grid, msf_sweep
+from oracles import expm, sequential_factors
 
 VDP_MU2_REF = 8.596950636061e-04  # rel_tol 1e-12 reference
 
@@ -315,6 +316,104 @@ class TestClosureDrift:
             ajl_determinant(vdp, broken)
         with pytest.raises(ClosureDrift):
             lf_decomposition(vdp, broken)
+
+    def test_displaced_segment_start_raises(self, vdp, vdp_cycle):
+        # p = 16 segments of 32 samples: sample 256 starts segment 9, so
+        # segment 8 ends 1e-3 (relative) away from it.
+        samples = vdp_cycle.samples.copy()
+        samples[256] += 1e-3 * np.linalg.norm(vdp_cycle.anchor)
+        broken = dataclasses.replace(vdp_cycle, samples=samples)
+        with pytest.raises(ClosureDrift, match="segment 8 of 16"):
+            monodromy(vdp, broken)
+        with pytest.raises(ClosureDrift, match="segment 8 of 16"):
+            floquet.variational_factors(vdp, broken, [0.0, 1.0])
+        # A sample that starts no segment is not read.
+        samples = vdp_cycle.samples.copy()
+        samples[257] += 1e-3 * np.linalg.norm(vdp_cycle.anchor)
+        shifted = dataclasses.replace(vdp_cycle, samples=samples)
+        assert np.array_equal(monodromy(vdp, shifted).multipliers,
+                              monodromy(vdp, vdp_cycle).multipliers)
+
+
+@pytest.fixture(scope="module")
+def cycle_of():
+    """``cycle_of(name, **params)``: the model and its limit cycle, cached
+    per model."""
+    cache = {}
+
+    def build(name, **params):
+        key = (name, tuple(sorted(params.items())))
+        if key not in cache:
+            model = get_model(name, params)
+            cache[key] = model, find_limit_cycle(model)
+        return cache[key]
+
+    return build
+
+
+class TestMultipleShootingAgainstSequential:
+    """The batched segment pass against the p sequential legs it replaced,
+    on the default 51-point sweep grid."""
+
+    @pytest.mark.parametrize("name, params, mask", [
+        ("vdp", {"mu": 0.5}, [0, 1]), ("vdp", {"mu": 0.5}, None),
+        ("vdp", {"mu": 1.0}, [0, 1]), ("vdp", {"mu": 1.0}, None),
+        ("vdp", {"mu": 2.0}, [0, 1]), ("vdp", {"mu": 2.0}, None),
+        ("repressilator", {}, [0, 1, 0, 1, 0, 1]),
+    ], ids=["vdp-0.5-partial", "vdp-0.5-full", "vdp-1-partial",
+            "vdp-1-full", "vdp-2-partial", "vdp-2-full",
+            "repressilator-partial"])
+    def test_sweep_matches_sequential_legs(self, cycle_of, name, params,
+                                           mask):
+        model, lc = cycle_of(name, **params)
+        grid = default_kappa_grid()
+        curve = msf_sweep(model, lc, mask, grid)
+        factors, x_end = sequential_factors(model, lc, grid, mask)
+        assert np.linalg.norm(x_end - lc.anchor) \
+            < 1e-6 * np.linalg.norm(lc.anchor)
+        for point, segment_factors in zip(curve.points, factors):
+            expected = _point(point.kappa,
+                              floquet._cyclic_multipliers(segment_factors))
+            rel = (np.abs(point.multipliers - expected.multipliers)
+                   / np.abs(expected.multipliers))
+            assert rel.max() < 1e-6, f"kappa={point.kappa}: {rel.max():.3g}"
+            assert point.mu_max == pytest.approx(expected.mu_max, rel=1e-8)
+
+    def test_segments_start_on_nearest_samples(self):
+        # vdp: 16 segments of 32 samples, unscaled.
+        starts, scales = floquet._segments(512, 16)
+        assert np.array_equal(starts, np.arange(16) * 32)
+        assert np.array_equal(scales, np.ones(16))
+        # repressilator: 10 segments of 51 or 52 samples.
+        starts, scales = floquet._segments(512, 10)
+        assert np.array_equal(
+            starts, [0, 51, 102, 154, 205, 256, 307, 358, 410, 461])
+        lengths = np.diff(np.append(starts, 512))
+        assert np.allclose(scales, lengths / 51.2, rtol=1e-15)
+
+
+class TestWorkBudget:
+    # Machine-independent work counts: each right-hand side calls the
+    # batch Jacobian once, so these count integrator stages.  The p legs
+    # of the sequential pass took 6632 (sweep) and 2288 (monodromy).
+    @pytest.fixture
+    def counted(self, vdp):
+        calls = [0]
+
+        def node_jacobian(xs):
+            calls[0] += 1
+            return vdp.node_jacobian(xs)
+        return dataclasses.replace(vdp, node_jacobian=node_jacobian), calls
+
+    def test_sweep_jacobian_call_budget(self, counted, vdp_cycle):
+        model, calls = counted
+        msf_sweep(model, vdp_cycle, [0, 1], default_kappa_grid())
+        assert 0 < calls[0] <= 1000
+
+    def test_monodromy_jacobian_call_budget(self, counted, vdp_cycle):
+        model, calls = counted
+        monodromy(model, vdp_cycle)
+        assert 0 < calls[0] <= 400
 
 
 def test_non_finite_kappa_is_invalid(vdp, vdp_cycle):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from floqnet.exceptions import InvalidParam
-from floqnet.models import get_model, linear_rotation_model, \
-    repressilator_model, vdp_model
+from floqnet.models import OscillatorModel, get_model, \
+    linear_rotation_model, repressilator_model, vdp_model
 from floqnet.ode import integrate
 
 
@@ -223,6 +223,63 @@ class TestJacobianConsistency:
             numeric = central_diff_jacobian(model.field, x)
             scale = max(np.abs(analytic).max(), 1.0)
             assert np.abs(analytic - numeric).max() < 1e-5 * scale
+
+
+class TestNodeBatches:
+    """The (n, m) batch forms against the per-state field and Jacobian."""
+
+    @pytest.mark.parametrize("model", [
+        vdp_model(0.5), vdp_model(2.0), linear_rotation_model(),
+        repressilator_model(),
+        repressilator_model(alpha=600.0, alpha0=0.5, beta=3.0, n=2.5),
+    ], ids=["vdp-0.5", "vdp-2", "rotation", "repressilator",
+            "repressilator-n2.5"])
+    def test_rows_match_per_state_calls(self, model):
+        rng = np.random.default_rng(13)
+        # Repressilator states reach below zero, so about one row in six
+        # has a negative repressor.
+        xs = rng.uniform(-5.0, 80.0, size=(500, model.dim)) \
+            if model.name == "repressilator" \
+            else 3.0 * rng.standard_normal((500, model.dim))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fields = model.node_field(xs)
+            jacobians = model.node_jacobian(xs)
+        assert len(caught) <= 1
+        assert fields.shape == xs.shape
+        assert jacobians.shape == (len(xs), model.dim, model.dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for x, f, jac in zip(xs, fields, jacobians):
+                np.testing.assert_allclose(f, model.field(x), rtol=1e-13,
+                                           atol=0.0)
+                np.testing.assert_allclose(jac, model.jacobian(x),
+                                           rtol=1e-13, atol=0.0)
+
+    def test_repressilator_warns_once_per_call(self):
+        model = repressilator_model()
+        xs = np.full((4, 6), 2.0)
+        xs[:, 5] = -1.0
+        with pytest.warns(RuntimeWarning) as caught:
+            out = model.node_field(xs)
+        assert len(caught) == 1
+        assert out[:, 0] == pytest.approx(999.0)  # -m1 + alpha + alpha0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model.node_field(np.full((4, 6), 2.0))
+
+    def test_user_model_stacks_scalar_calls(self):
+        model = OscillatorModel(
+            name="shear", dim=2, params={},
+            field=lambda x: np.array([x[1] ** 2, -x[0]]),
+            jacobian=lambda x: np.array([[0.0, 2.0 * x[1]], [-1.0, 0.0]]),
+            default_initial=np.array([1.0, 0.0]),
+        )
+        xs = np.array([[1.0, 2.0], [3.0, -4.0], [0.5, 0.25]])
+        assert np.array_equal(model.node_field(xs),
+                              [[4.0, -1.0], [16.0, -3.0], [0.0625, -0.5]])
+        assert np.array_equal(model.node_jacobian(xs)[1],
+                              [[0.0, -8.0], [-1.0, 0.0]])
 
 
 class TestRegistry:

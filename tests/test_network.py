@@ -122,6 +122,25 @@ def test_non_finite_gain_rejected(K):
         CouplingSpec(K=K, mask=[1, 1])
 
 
+@pytest.mark.parametrize("t_on", [np.nan, -1.0, np.inf])
+def test_bad_activation_time_rejected(t_on):
+    with pytest.raises(InvalidParam):
+        CouplingSpec(K=1.0, mask=[1, 1], activation_time=t_on)
+
+
+@pytest.mark.parametrize("t_end", [np.inf, np.nan])
+def test_non_finite_end_rejected_before_integrating(vdp, fig2_initial,
+                                                    monkeypatch, t_end):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated with a non-finite end time")
+
+    monkeypatch.setattr(network, "integrate", no_integration)
+    with pytest.raises(InvalidParam):
+        simulate_network(vdp, complete_graph(3),
+                         CouplingSpec(K=1.0, mask=[1, 1]), fig2_initial,
+                         t_end)
+
+
 class TestSyncError:
     def test_identical_rows_zero(self):
         states = np.tile([1.0, 2.0], (5, 3))
@@ -229,7 +248,7 @@ class TestSimulation:
             assert diff < 1e-9
 
     def test_time_window_validation(self, vdp, fig2_initial):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidParam):
             simulate_network(
                 vdp, complete_graph(3),
                 CouplingSpec(K=1.0, mask=[1, 1], activation_time=50.0),

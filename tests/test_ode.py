@@ -45,6 +45,25 @@ class TestIntegrate:
         with pytest.raises(InvalidParam):
             integrate(harmonic, [1.0, 0.0], (1.0, 0.0))
 
+    @pytest.mark.parametrize("span", [(0.0, np.inf), (-np.inf, 1.0),
+                                      (0.0, np.nan), (np.nan, 1.0)],
+                             ids=["inf-end", "inf-start", "nan-end",
+                                  "nan-start"])
+    def test_non_finite_span_is_invalid(self, span):
+        # Checked before the first step: an infinite end would otherwise
+        # run the whole step budget.
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return harmonic(x)
+
+        with pytest.raises(InvalidParam):
+            integrate(counted, [1.0, 0.0], span)
+        with pytest.raises(InvalidParam):
+            _final_state(counted, [1.0, 0.0], span, IntegratorConfig())
+        assert calls == []
+
     def test_bad_initial_state(self):
         with pytest.raises(InvalidParam):
             integrate(harmonic, [np.nan, 0.0], (0.0, 1.0))
