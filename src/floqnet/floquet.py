@@ -4,16 +4,17 @@ factorization.
 
 The variational equation is integrated jointly with the cycle state (an
 augmented m + m^2 system), so no interpolation of the reference orbit
-enters the multiplier error budget.  The one-period transition matrix is
-a product of segment factors::
+enters the multiplier error budget.  It is integrated in one place, by
+multiple shooting (:func:`_shoot`): segment s starts on the stored cycle
+sample nearest s*T/p, and all p segments, for every coupling kappa, run
+as one batch on one step sequence.  Transition matrices are running
+products of the segment factors::
 
-    phi(T, 0) = A_p @ ... @ A_1,        A_s = phi(t_{s+1}, t_s)
+    phi(t_k, 0) = A_{k-1} @ ... @ A_0,        A_s = phi(t_{s+1}, t_s)
 
-computed by multiple shooting: segment s starts on the stored cycle sample
-nearest s*T/p, and all p segments, for every coupling kappa, are
-integrated side by side as one batch on one step sequence
-(:func:`variational_factors`).  Each segment must land on the next one's
-start, the last on the anchor (:func:`_check_closure`).
+with p = 16 for the monodromy and one segment per cycle sample for the
+Lyapunov-Floquet factor.  The summed segment gaps are gated
+(:func:`_check_closure`).
 
 The multipliers are taken from the block-cyclic lift of the factor
 sequence: the eigenvalues of the pm x pm matrix with A_s on its cyclic
@@ -22,7 +23,9 @@ Each factor is well conditioned even when the full product is not, so
 multipliers far below the eigenvalue noise floor of the assembled product
 (strongly contracting cycles push them past 1e-16) are still recovered
 with full relative accuracy.  The determinant of phi is accumulated the
-same way, as the product of the factor determinants.
+same way, as the product of the factor determinants; the other side of
+the determinant identity integrates tr Df over the stored samples by the
+periodic trapezoid rule.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from .exceptions import ClosureDrift, DimensionMismatch, InvalidParam, \
     NonConvergence
 from .limit_cycle import LimitCycle
 from .models import OscillatorModel
-from .ode import IntegratorConfig, _final_state, integrate
+from .ode import IntegratorConfig, _final_state
 
 __all__ = [
     "Monodromy",
@@ -50,7 +53,7 @@ __all__ = [
 # Tolerance for identifying the unity multiplier of an uncoupled cycle.
 UNITY_TOL = 1e-3
 
-# Relative drift of the cycle state allowed over one variational period.
+# Summed relative drift of the segment ends allowed over one period.
 _CLOSURE_DRIFT_TOL = 1e-4
 
 
@@ -74,19 +77,28 @@ def _segments(n_samples, p):
 
 
 def _check_closure(lc, ends, starts):
-    """Raise ClosureDrift, naming the first offending segment, unless each
-    segment end lies within 1e-4 (relative to the anchor) of the next
-    segment's start sample, and the last one of the anchor."""
+    """Raise ClosureDrift, naming the segment at which the running sum of
+    the gaps, each segment end's distance (relative to the anchor) from the
+    next segment's start sample, the last one's from the anchor, first
+    exceeds 1e-4.  Unlike a per-segment gate it holds as p grows."""
     targets = lc.samples[np.roll(starts, -1)]
     gaps = np.linalg.norm(ends - targets, axis=1) / np.linalg.norm(lc.anchor)
-    bad = np.flatnonzero(~(gaps <= _CLOSURE_DRIFT_TOL))  # NaN included
+    drift = np.cumsum(gaps)
+    bad = np.flatnonzero(~(drift <= _CLOSURE_DRIFT_TOL))  # NaN included
     if bad.size:
         s = bad[0]
         raise ClosureDrift(
-            f"segment {s + 1} of {len(starts)} ended {gaps[s]:.3g} "
-            "(relative) from the next segment's start; limit cycle and "
-            "model are inconsistent"
-        )
+            f"segment {s + 1} of {len(starts)} took the summed gaps to "
+            f"{drift[s]:.3g} (relative); limit cycle and model disagree")
+
+
+def _running_products(factors):
+    """phi(t_k, 0) = factors[k-1] @ ... @ factors[0] for k = 0..p, from
+    the (p, m, m) segment factors."""
+    phis = [np.eye(factors.shape[1])]
+    for a in factors:
+        phis.append(a @ phis[-1])
+    return np.array(phis)
 
 
 @dataclass(frozen=True)
@@ -94,10 +106,10 @@ class Monodromy:
     """One-period state transition matrix of the variational system
     zeta' = [Df(x_s(t)) - kappa * DH] zeta along a limit cycle.
 
-    ``matrix`` is the assembled product of the segment factors; for
-    strongly contracting cycles its smallest eigenvalues fall below the
-    double-precision noise floor, so ``multipliers`` and ``det`` are
-    computed from the factored form instead and remain accurate.
+    ``matrix`` is the running product of the multiple-shooting factors;
+    for strongly contracting cycles its smallest eigenvalues fall below
+    the double-precision noise floor, so ``multipliers`` and ``det`` are
+    computed from the factors instead and remain accurate.
     """
 
     matrix: np.ndarray
@@ -126,16 +138,15 @@ class LFDecomposition:
     period: float
 
 
-def _variational_rhs(model, kappas, mask, scales, with_trace=False):
+def _variational_rhs(model, kappas, mask, scales):
     """Right-hand side of the augmented system of p segments and B
-    couplings on a (B*p, n) batch: row b*p + s is ``[x_s, vec Y_bs]``
-    (plus the Jacobian trace integral ``with_trace``), with time scaled by
-    c_s = ``scales[s]``, so x_s' = c_s f(x_s) and
+    couplings on a (B*p, m + m^2) batch: row b*p + s is
+    ``[x_s, vec Y_bs]``, with time scaled by c_s = ``scales[s]``, so
+    x_s' = c_s f(x_s) and
     Y_bs' = c_s [Df(x_s) - kappas[b] * DH] Y_bs.  Rows of one segment
     carry the same state, so f and its Jacobian are evaluated once per
     segment, in one batch call each."""
     m, p = model.dim, len(scales)
-    mm = m * m
     f, jac = model.node_field, model.node_jacobian
     c = np.asarray(scales, dtype=float)[:, None]
     c3 = c[:, :, None]
@@ -147,56 +158,49 @@ def _variational_rhs(model, kappas, mask, scales, with_trace=False):
         xs = z[:p, :m]
         a = jac(xs) * c3
         out = np.empty_like(z)
-        by_coupling = out.reshape(-1, p, z.shape[1])
-        by_coupling[:, :, :m] = f(xs) * c
-        ys = z[:, m:m + mm].reshape(-1, p, m, m)
-        out[:, m:m + mm] = ((a - shift) @ ys).reshape(-1, mm)
-        if with_trace:
-            by_coupling[:, :, -1] = np.trace(a, axis1=1, axis2=2)
+        out.reshape(-1, p, z.shape[1])[:, :, :m] = f(xs) * c
+        ys = z[:, m:].reshape(-1, p, m, m)
+        out[:, m:] = ((a - shift) @ ys).reshape(-1, m * m)
         return out
 
     return rhs
 
 
-def variational_factors(model: OscillatorModel, lc: LimitCycle, kappas,
-                        mask=None, cfg: IntegratorConfig | None = None,
-                        with_trace: bool = False):
-    """Segment factors of the one-period variational flow for every kappa,
-    by multiple shooting.
+def _shoot(model, lc, kappas, mask, cfg, p):
+    """The (B, p, m, m) segment factors of the one-period variational flow
+    for every kappa, by multiple shooting over p segments.
 
-    The period is cut into p segments (p = 16, or fewer so that the cyclic
-    lift stays within 64 x 64).  Segment s starts at the cycle sample
-    nearest s*T/p with its matrices at the identity, and runs with its
-    time scaled by c_s = L_s / mean(L), so every segment ends at the same
-    scaled time T/p (c_s = 1 whenever p divides the sample count).  All
-    segments and kappas are one (B*p, m + m^2) batch integrated on one
-    step sequence.
-
-    Returns the (B, p, m, m) segment factors and, ``with_trace``, the
-    integral of tr Df (else None).  Raises :class:`InvalidParam` for a
-    non-finite kappa and :class:`ClosureDrift` when a segment does not
-    land within 1e-4 of the next segment's start (:func:`_check_closure`).
+    Segment s starts at the cycle sample nearest s*T/p with its matrices
+    at the identity, and runs with its time scaled by c_s = L_s / mean(L),
+    so every segment ends at the same scaled time T/p (c_s = 1 whenever p
+    divides the sample count).  All segments and kappas are one
+    (B*p, m + m^2) batch integrated on one step sequence.  Raises
+    :class:`InvalidParam` for a non-finite kappa and :class:`ClosureDrift`
+    from :func:`_check_closure`.
     """
-    cfg = cfg or IntegratorConfig()
     m = model.dim
-    mm = m * m
-    mask_v = _resolve_mask(mask, m)
+    mask = _resolve_mask(mask, m)
     kappas = np.asarray(kappas, dtype=float).ravel()
     if not np.all(np.isfinite(kappas)):
         raise InvalidParam(f"kappa must be finite, got {kappas}")
-    # Keep the cyclic lift within the 64x64 eigenvalue budget.
-    p = max(1, min(16, 64 // m))
     starts, scales = _segments(len(lc.samples), p)
-    rhs = _variational_rhs(model, kappas, mask_v, scales, with_trace)
-    z0 = np.zeros((kappas.size, p, m + mm + int(with_trace)))
+    rhs = _variational_rhs(model, kappas, mask, scales)
+    z0 = np.zeros((len(kappas), p, m + m * m))
     z0[:, :, :m] = lc.samples[starts]
-    z0[:, :, m:m + mm] = np.eye(m).ravel()
-    z_end = _final_state(rhs, z0.reshape(kappas.size * p, -1),
-                         (0.0, lc.period / p), cfg).reshape(z0.shape)
+    z0[:, :, m:] = np.eye(m).ravel()
+    z_end = _final_state(rhs, z0.reshape(len(kappas) * p, -1),
+                         (0.0, lc.period / p),
+                         cfg or IntegratorConfig()).reshape(z0.shape)
     _check_closure(lc, z_end[0, :, :m], starts)
-    factors = z_end[:, :, m:m + mm].reshape(-1, p, m, m)
-    trace_integral = float(z_end[0, :, -1].sum()) if with_trace else None
-    return factors, trace_integral
+    return z_end[:, :, m:].reshape(-1, p, m, m)
+
+
+def variational_factors(model: OscillatorModel, lc: LimitCycle, kappas,
+                        mask=None, cfg: IntegratorConfig | None = None):
+    """The (B, p, m, m) segment factors of :func:`_shoot` over p = 16
+    segments, or fewer so that the cyclic lift stays within 64 x 64."""
+    p = max(1, min(16, 64 // model.dim))
+    return _shoot(model, lc, kappas, mask, cfg, p)
 
 
 def _cyclic_multipliers(factors):
@@ -215,10 +219,8 @@ def _cyclic_multipliers(factors):
     # Greedy proximity clustering into m groups of p; the p roots of one
     # product eigenvalue power back to near-coincident values.
     used = np.zeros(powered.size, dtype=bool)
-    means = np.empty(m, dtype=complex)
-    order = np.argsort(-np.abs(powered))
-    k = 0
-    for idx in order:
+    means = []
+    for idx in np.argsort(-np.abs(powered)):
         if used[idx]:
             continue
         dist = np.abs(powered - powered[idx])
@@ -226,8 +228,7 @@ def _cyclic_multipliers(factors):
         dist[idx] = 0.0
         group = np.argsort(dist)[:p]
         used[group] = True
-        means[k] = powered[group].mean()
-        k += 1
+        means.append(powered[group].mean())
     return linalg.sort_spectrum(means)
 
 
@@ -244,17 +245,13 @@ def monodromy(model: OscillatorModel, lc: LimitCycle, kappa: float = 0.0,
     anchor within 1e-4 relative.
     """
     mask_v = _resolve_mask(mask, model.dim)
-    stack, _ = variational_factors(model, lc, [kappa], mask_v, cfg)
-    factors = stack[0]
-    phi = factors[0]
-    for a in factors[1:]:
-        phi = a @ phi
+    factors = variational_factors(model, lc, [kappa], mask_v, cfg)[0]
     det_phi = float(np.prod(np.linalg.det(factors)))
     multipliers = _cyclic_multipliers(factors)
     with np.errstate(divide="ignore"):
         exponents = np.log(multipliers.astype(complex)) / lc.period
     return Monodromy(
-        matrix=phi, multipliers=multipliers, exponents=exponents,
+        matrix=_running_products(factors)[-1], multipliers=multipliers, exponents=exponents,
         kappa=float(kappa), mask=mask_v, period=lc.period, det=det_phi,
     )
 
@@ -284,16 +281,17 @@ def ajl_determinant(model: OscillatorModel, lc: LimitCycle,
 
     The left side is the determinant of the integrated variational matrix
     (accumulated as a product of segment determinants); the right side
-    integrates the scalar Jacobian trace along the cycle.  Returns
-    ``(det_phi, rhs)``; agreement is the caller's assertion.
+    sums the Jacobian trace over the cycle samples (periodic trapezoid
+    rule, one batch Jacobian call).  Returns ``(det_phi, rhs)``;
+    agreement is the caller's assertion.
 
     Raises :class:`ClosureDrift` as :func:`monodromy` does.
     """
     mask_v = _resolve_mask(mask, model.dim)
-    factors, trace_integral = variational_factors(
-        model, lc, [kappa], mask_v, cfg, with_trace=True)
-    det_phi = float(np.prod(np.linalg.det(factors[0])))
-    rhs = float(np.exp(trace_integral)
+    factors = variational_factors(model, lc, [kappa], mask_v, cfg)[0]
+    det_phi = float(np.prod(np.linalg.det(factors)))
+    traces = np.trace(model.node_jacobian(lc.samples), axis1=1, axis2=2)
+    rhs = float(np.exp(traces.mean() * lc.period)
                 * np.exp(-float(kappa) * mask_v.sum() * lc.period))
     return det_phi, rhs
 
@@ -313,8 +311,9 @@ def lf_decomposition(model: OscillatorModel, lc: LimitCycle,
     """Lyapunov-Floquet factorization of the uncoupled variational flow.
 
     R = log(phi(T,0)) / T on the principal branch, and P sampled at the
-    cycle phases through P(t) = expm(R*t) @ inv(phi(t,0)).  Both come from
-    one eigenbasis phi(T,0) = V diag(w) V^-1, since expm(R*t) =
+    cycle phases through P(t) = expm(R*t) @ inv(phi(t,0)), with phi(t_k,0)
+    from :func:`_shoot` at one segment per sample.  Both come from one
+    eigenbasis phi(T,0) = V diag(w) V^-1, since expm(R*t) =
     V diag(w^(t/T)) V^-1: all phases are one broadcast product and one
     stacked inverse of the phi(t,0).
 
@@ -328,14 +327,9 @@ def lf_decomposition(model: OscillatorModel, lc: LimitCycle,
     ``SingularInput`` / ``NonDiagonalizable`` from the matrix logarithm.
     """
     m = model.dim
-    # One segment of the variational system, c = 1, kept as a dense pass.
-    rhs = _variational_rhs(model, [0.0], np.ones(m), [1.0])
-    z0 = np.concatenate([lc.anchor, np.eye(m).ravel()])[None]
-    traj = integrate(rhs, z0, (0.0, lc.period), cfg)
-    _check_closure(lc, traj.states[-1, :, :m], np.zeros(1, dtype=int))
     # phi(t, 0) at the sampled phases, then at t = T for the residual.
-    rows = np.concatenate([traj.eval(lc.times), traj.states[-1:]])
-    phis = rows[:, 0, m:].reshape(-1, m, m)
+    phis = _running_products(
+        _shoot(model, lc, [0.0], None, cfg, len(lc.samples))[0])
     phases = np.append(lc.times, lc.period) / lc.period
 
     log_w, v, v_inv = linalg._principal_log_eig(phis[-1])
@@ -347,9 +341,7 @@ def lf_decomposition(model: OscillatorModel, lc: LimitCycle,
     p_all = (v * np.exp(phases[:, None] * log_w)[:, None, :]) @ v_inv @ phi_inv
     p_samples = p_all[:-1]
     p_samples[0] = np.eye(m)
-    residual = float(
-        np.linalg.norm(p_all[-1] - np.eye(m)) / np.linalg.norm(np.eye(m))
-    )
+    residual = float(np.linalg.norm(p_all[-1] - np.eye(m)) / np.sqrt(m))
     return LFDecomposition(
         R=r, times=lc.times.copy(), P_samples=p_samples,
         periodicity_residual=residual, period=lc.period,

@@ -128,7 +128,7 @@ def msf_sweep(model: OscillatorModel, lc: LimitCycle, mask, kappa_grid,
     """
     grid = _resolve_kappa_grid(kappa_grid)
     mask = _resolve_mask(mask, model.dim)
-    factors, _ = variational_factors(model, lc, grid, mask, cfg)
+    factors = variational_factors(model, lc, grid, mask, cfg)
     points = [_point(kappa, _cyclic_multipliers(segment_factors))
               for kappa, segment_factors in zip(grid, factors)]
     return MsfCurve(points=tuple(points), model_name=model.name, mask=mask,

@@ -132,6 +132,8 @@ def from_adjacency(adjacency) -> GraphSpec:
         raise InvalidAdjacency(f"adjacency must be square, got {a.shape}")
     if a.shape[0] < 2:
         raise InvalidAdjacency(f"need n >= 2 nodes, got {a.shape[0]}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidAdjacency("adjacency weights must be finite")
     scale = max(np.abs(a).max(), 1.0)
     if np.abs(a - a.T).max() > _SYM_TOL * scale:
         raise InvalidAdjacency("adjacency must be symmetric")

@@ -175,6 +175,9 @@ def _integrate_core(field, x0, t_span, cfg):
     t = t0
     n_steps = 0
     abs_y = np.abs(y)
+    # A gap to t1 below the underflow guard is round-off: the step that
+    # leaves it ends on t1 instead.
+    end_gap = float(16 * _EPS * max(abs(t1), 1.0))
     while t < t1:
         if n_steps >= cfg.max_steps:
             raise StepBudgetExceeded(
@@ -209,6 +212,8 @@ def _integrate_core(field, x0, t_span, cfg):
                 f"state norm exceeded {BLOWUP_LIMIT:.0e} at t={t + h:.6g}",
                 t=t + h, state=y_new.reshape(shape),
             )
+        if 0.0 < t1 - (t + h) <= end_gap:
+            h = t1 - t
         yield t, h, y, y_new, k
 
         factor = _MAX_FACTOR if err == 0.0 else min(

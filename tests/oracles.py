@@ -1,7 +1,7 @@
 """Reference implementations that tests compare the package against."""
 import numpy as np
 
-from floqnet.ode import IntegratorConfig, _final_state
+from floqnet.ode import IntegratorConfig, _final_state, integrate
 
 
 def expm(m):
@@ -70,3 +70,35 @@ def sequential_factors(model, lc, kappas, mask=None, cfg=None):
         x = z_end[0, :m]
         factors[:, i] = z_end[:, m:].reshape(-1, m, m)
     return factors, x
+
+
+def dense_lf(model, lc, cfg=None):
+    """The dense one-row Lyapunov-Floquet pass that shooting with one
+    segment per sample replaced, the oracle for
+    :func:`floqnet.floquet.lf_decomposition`.
+
+    One integration of a one-row batch from the anchor over the whole
+    period carries the cycle state and phi(t, 0); phi(t_k, 0) is read from
+    its dense output at the sample times.
+    R = log(phi(T, 0)) / T from the eigenbasis of phi(T, 0), and
+    P(t_k) = expm(R t_k) @ inv(phi(t_k, 0)) phase by phase with the Taylor
+    :func:`expm`.  Returns ``(R, P_samples)``.
+    """
+    m = model.dim
+
+    def rhs(z):
+        x = z[:, :m]
+        out = np.empty_like(z)
+        out[:, :m] = model.node_field(x)
+        out[:, m:] = (model.node_jacobian(x)
+                      @ z[:, m:].reshape(-1, m, m)).reshape(-1, m * m)
+        return out
+
+    z0 = np.concatenate([lc.anchor, np.eye(m).ravel()])[None]
+    traj = integrate(rhs, z0, (0.0, lc.period), cfg)
+    phis = traj.eval(lc.times)[:, 0, m:].reshape(-1, m, m)
+    w, v = np.linalg.eig(traj.states[-1, 0, m:].reshape(m, m))
+    r = (v * np.log(w.astype(complex))) @ np.linalg.inv(v) / lc.period
+    p = np.array([expm(r * t) @ np.linalg.inv(phi)
+                  for t, phi in zip(lc.times, phis)])
+    return r, p

@@ -218,8 +218,14 @@ class TestSimulateCommand:
         {"graph": {"kind": "adjacency", "adjacency": [[0]]},
          "initial": [0, 1]},
         {"run": {"t_end": float("inf")}},
+        {"graph": {"kind": "adjacency",
+                   "adjacency": [[0, float("nan")], [float("nan"), 0]]},
+         "initial": [0, 1, 2, 3]},
+        {"graph": {"kind": "adjacency",
+                   "adjacency": [[0, float("nan"), 1], [float("nan"), 0, 1],
+                                 [1, 1, 0]]}},
     ], ids=["no-output-points", "negative-output-points", "one-node-graph",
-            "infinite-end-time"])
+            "infinite-end-time", "nan-weight-2-nodes", "nan-weight-3-nodes"])
     def test_bad_run_or_graph_exits_2_before_integrating(
             self, change, tmp_path, monkeypatch, capsys):
         def no_integration(*args, **kwargs):

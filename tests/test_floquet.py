@@ -3,10 +3,10 @@ shift law, determinant identities, and the Lyapunov-Floquet factorization.
 
 Independent oracles: analytic rotation results, Simpson quadrature of the
 Jacobian trace along the stored cycle (against both determinant routes),
-and the closed-form exponential shift.
+the closed-form exponential shift, and the dense one-row variational pass
+(against the Lyapunov-Floquet factor).
 """
 import dataclasses
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from floqnet.floquet import ajl_determinant, lf_decomposition, monodromy, \
 from floqnet.limit_cycle import find_limit_cycle
 from floqnet.models import get_model
 from floqnet.msf import _point, default_kappa_grid, msf_sweep
-from oracles import expm, sequential_factors
+from oracles import dense_lf, expm, sequential_factors
 
 VDP_MU2_REF = 8.596950636061e-04  # rel_tol 1e-12 reference
 
@@ -217,32 +217,45 @@ class TestLFDecomposition:
 
 
 @pytest.fixture(scope="module")
-def lf_with_oracle():
-    """``lf_with_oracle(name, **params)``: the model's lf_decomposition
-    next to the per-phase path it replaced, P(t_k) = expm(R t_k) @
-    inv(phi(t_k, 0)) with the Taylor oracle expm, built from the same
-    integrated transition matrices.  Returns (lf, P_oracle,
-    oracle periodicity residual); cached per model."""
+def cycle_of():
+    """``cycle_of(name, **params)``: the model and its limit cycle, cached
+    per model."""
     cache = {}
 
     def build(name, **params):
         key = (name, tuple(sorted(params.items())))
         if key not in cache:
             model = get_model(name, params)
-            lc = find_limit_cycle(model)
-            seen, real = [], floquet.integrate
+            cache[key] = model, find_limit_cycle(model)
+        return cache[key]
+
+    return build
+
+
+@pytest.fixture(scope="module")
+def lf_with_oracle(cycle_of):
+    """``lf_with_oracle(name, **params)``: the model's lf_decomposition
+    next to the per-phase path it replaced, P(t_k) = expm(R t_k) @
+    inv(phi(t_k, 0)) with the Taylor oracle expm, built from the same
+    transition matrices (the running products of the shooting factors).
+    Returns (lf, P_oracle, oracle periodicity residual); cached per model."""
+    cache = {}
+
+    def build(name, **params):
+        key = (name, tuple(sorted(params.items())))
+        if key not in cache:
+            model, lc = cycle_of(name, **params)
+            seen, real = [], floquet._running_products
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(floquet, "integrate", lambda *a, **k:
-                           seen.append(real(*a, **k)) or seen[-1])
+                mp.setattr(floquet, "_running_products", lambda f:
+                           seen.append(real(f)) or seen[-1])
                 lf = lf_decomposition(model, lc)
-            traj, = seen
+            phis, = seen
             m = model.dim
-            phis = traj.eval(lc.times)[:, 0, m:].reshape(-1, m, m)
             p_oracle = np.array([expm(lf.R * t) @ np.linalg.inv(phi)
                                  for t, phi in zip(lc.times, phis)])
             p_oracle[0] = np.eye(m)
-            phi_end = traj.states[-1][0, m:].reshape(m, m)
-            p_end = expm(lf.R * lc.period) @ np.linalg.inv(phi_end)
+            p_end = expm(lf.R * lc.period) @ np.linalg.inv(phis[-1])
             residual = np.linalg.norm(p_end - np.eye(m)) / np.sqrt(m)
             cache[key] = lf, p_oracle, residual
         return cache[key]
@@ -283,17 +296,16 @@ class TestLFBatchedAgainstPerPhase:
     def test_singular_phase_falls_back_to_pinv(self, vdp, vdp_cycle,
                                                monkeypatch):
         clean = lf_decomposition(vdp, vdp_cycle)
-        k, m = 200, vdp.dim
-        real = floquet.integrate
+        k = 200
+        real = floquet._running_products
 
-        def with_singular_sample(*args, **kwargs):
-            traj = real(*args, **kwargs)
-            samples = traj.eval(vdp_cycle.times)
-            samples[k, 0, m:] = 1.0  # phi(t_k, 0) := ones, rank one
-            return SimpleNamespace(states=traj.states,
-                                   eval=lambda t: samples)
+        def with_singular_sample(factors):
+            phis = real(factors)
+            phis[k] = 1.0  # phi(t_k, 0) := ones, rank one
+            return phis
 
-        monkeypatch.setattr(floquet, "integrate", with_singular_sample)
+        monkeypatch.setattr(floquet, "_running_products",
+                            with_singular_sample)
         calls = []
         real_inv = floquet._inv_or_pinv
         monkeypatch.setattr(floquet, "_inv_or_pinv",
@@ -306,16 +318,39 @@ class TestLFBatchedAgainstPerPhase:
         assert lf.periodicity_residual == clean.periodicity_residual
 
 
+class TestLFAgainstDensePass:
+    """The factor from one-segment-per-sample shooting against the dense
+    one-row pass over the whole period that it replaced."""
+
+    @pytest.mark.parametrize("name, params", [
+        ("vdp", {"mu": 0.5}), ("vdp", {"mu": 1.0}), ("vdp", {"mu": 2.0}),
+        ("linear_rotation", {}),
+    ], ids=["vdp-0.5", "vdp-1", "vdp-2", "rotation"])
+    def test_matches_dense_pass(self, cycle_of, name, params):
+        model, lc = cycle_of(name, **params)
+        lf = lf_decomposition(model, lc)
+        r_ref, p_ref = dense_lf(model, lc)
+        rel = np.abs(lf.P_samples - p_ref).max() / np.abs(p_ref).max()
+        assert rel < 1e-6
+        r_err = np.abs(lf.R - r_ref).max()
+        if name == "vdp":  # the rotation's R vanishes: absolute there
+            r_err /= np.abs(r_ref).max()
+        assert r_err < 1e-8
+
+
 class TestClosureDrift:
     def test_wrong_period_raises(self, vdp, vdp_cycle):
-        broken = dataclasses.replace(vdp_cycle,
-                                     period=vdp_cycle.period * 1.02)
-        with pytest.raises(ClosureDrift):
-            monodromy(vdp, broken)
-        with pytest.raises(ClosureDrift):
-            ajl_determinant(vdp, broken)
-        with pytest.raises(ClosureDrift):
-            lf_decomposition(vdp, broken)
+        # At 0.1 % each of the 512 LF segment ends lands at most 3.3e-5
+        # off, under the 1e-4 gate; their sum, 7.1e-3, is what it reads.
+        for factor in (1.02, 1.001):
+            broken = dataclasses.replace(vdp_cycle,
+                                         period=vdp_cycle.period * factor)
+            with pytest.raises(ClosureDrift):
+                monodromy(vdp, broken)
+            with pytest.raises(ClosureDrift):
+                ajl_determinant(vdp, broken)
+            with pytest.raises(ClosureDrift):
+                lf_decomposition(vdp, broken)
 
     def test_displaced_segment_start_raises(self, vdp, vdp_cycle):
         # p = 16 segments of 32 samples: sample 256 starts segment 9, so
@@ -333,22 +368,6 @@ class TestClosureDrift:
         shifted = dataclasses.replace(vdp_cycle, samples=samples)
         assert np.array_equal(monodromy(vdp, shifted).multipliers,
                               monodromy(vdp, vdp_cycle).multipliers)
-
-
-@pytest.fixture(scope="module")
-def cycle_of():
-    """``cycle_of(name, **params)``: the model and its limit cycle, cached
-    per model."""
-    cache = {}
-
-    def build(name, **params):
-        key = (name, tuple(sorted(params.items())))
-        if key not in cache:
-            model = get_model(name, params)
-            cache[key] = model, find_limit_cycle(model)
-        return cache[key]
-
-    return build
 
 
 class TestMultipleShootingAgainstSequential:
@@ -395,7 +414,8 @@ class TestMultipleShootingAgainstSequential:
 class TestWorkBudget:
     # Machine-independent work counts: each right-hand side calls the
     # batch Jacobian once, so these count integrator stages.  The p legs
-    # of the sequential pass took 6632 (sweep) and 2288 (monodromy).
+    # of the sequential pass took 6632 (sweep) and 2288 (monodromy), the
+    # dense Lyapunov-Floquet pass 1802.
     @pytest.fixture
     def counted(self, vdp):
         calls = [0]
@@ -414,6 +434,11 @@ class TestWorkBudget:
         model, calls = counted
         monodromy(model, vdp_cycle)
         assert 0 < calls[0] <= 400
+
+    def test_lf_jacobian_call_budget(self, counted, vdp_cycle):
+        model, calls = counted
+        lf_decomposition(model, vdp_cycle)
+        assert 0 < calls[0] <= 200
 
 
 def test_non_finite_kappa_is_invalid(vdp, vdp_cycle):

@@ -54,6 +54,12 @@ class TestGraphs:
             from_adjacency(np.array([[0.0, -1.0], [-1.0, 0.0]]))  # negative
         with pytest.raises(InvalidAdjacency):
             from_adjacency(np.array([[1.0, 1.0], [1.0, 0.0]]))  # diagonal
+        for bad in (np.nan, np.inf):  # NaN passes every comparison
+            with pytest.raises(InvalidAdjacency):
+                from_adjacency(np.array([[0.0, bad], [bad, 0.0]]))
+            with pytest.raises(InvalidAdjacency):
+                from_adjacency(np.array([[0.0, bad, 1.0], [bad, 0.0, 1.0],
+                                         [1.0, 1.0, 0.0]]))
         with pytest.raises(InvalidAdjacency):
             complete_graph(1)
 
@@ -213,6 +219,17 @@ class TestSimulation:
         traj = integrate(field, fig2_initial, t_span)
         assert traj.times[0] == t_span[0]
         assert traj.times[-1] == t_span[1]
+
+    @pytest.mark.parametrize("dt", [0.001, 0.002, 0.003])
+    def test_short_coupled_phase_completes(self, vdp, dt):
+        # The coupled phase is one short span starting at t = 20, whose
+        # last step stops a round-off gap short of t_end.
+        run = simulate_network(
+            vdp, complete_graph(2),
+            CouplingSpec(K=1.0, mask=[1, 1], activation_time=20.0),
+            [2.0, 0.0, 1.0, 0.0], 20.0 + dt, output_points=5)
+        assert run.times[-1] == 20.0 + dt
+        assert np.all(np.isfinite(run.states))
 
     def test_fig2_scenario_synchronizes(self, vdp, fig2_initial):
         run = simulate_network(

@@ -83,6 +83,14 @@ class TestIntegrate:
             integrate(nan_at_start, [1.0, 0.0], (0.0, 1.0))
         assert len(calls) <= 2
 
+    def test_round_off_gap_to_end_is_not_stepped(self):
+        # For most of these t0 the last step stops a few ulps short of t1,
+        # a gap below the step-size underflow guard: the step must end on
+        # t1 instead of failing on the gap.
+        for t0 in np.linspace(0.0, 50.0, 200):
+            traj = integrate(vdp_field, [2.0, 0.0], (t0, t0 + 0.01))
+            assert traj.times[-1] == t0 + 0.01
+
     def test_step_budget(self):
         with pytest.raises(StepBudgetExceeded):
             integrate(vdp_field, [2.0, 0.0], (0.0, 100.0),
