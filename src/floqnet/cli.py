@@ -289,7 +289,7 @@ def _cmd_msf(args, config):
                               "(flags or config 'msf' section)")
         lo, hi = float(section["kappa_min"]), float(section["kappa_max"])
         points = int(section["points"])
-        if points < 0:
+        if points < 1:
             raise ConfigError(f"msf sweep needs points >= 1, got {points}")
         spacing = section.get("spacing", "linear")
         if spacing == "linear":

@@ -6,20 +6,21 @@ The variational equation is integrated jointly with the cycle state (an
 augmented m + m^2 system), so no interpolation of the reference orbit
 enters the multiplier error budget.  It is integrated in one place, by
 multiple shooting (:func:`_shoot`): segment s starts on the stored cycle
-sample nearest s*T/p, and all p segments, for every coupling kappa, run
-as one batch on one step sequence.  Transition matrices are running
-products of the segment factors::
+sample s*n/p, at time s*T/p, and all p segments, for every coupling
+kappa, run as one batch on one step sequence.  Transition matrices are
+running products of the segment factors::
 
     phi(t_k, 0) = A_{k-1} @ ... @ A_0,        A_s = phi(t_{s+1}, t_s)
 
-with p = 16 for the monodromy and one segment per cycle sample for the
-Lyapunov-Floquet factor.  The summed segment gaps are gated
+with p = 16 for every model's monodromy and one segment per cycle sample
+for the Lyapunov-Floquet factor.  The summed segment gaps are gated
 (:func:`_check_closure`).
 
 The multipliers are taken from the block-cyclic lift of the factor
 sequence: the eigenvalues of the pm x pm matrix with A_s on its cyclic
-block subdiagonal are the p-th roots of the eigenvalues of the product.
-Each factor is well conditioned even when the full product is not, so
+block subdiagonal are the p-th roots of the eigenvalues of the product;
+where pm > 64, adjacent factors are multiplied in pairs first.  Each
+factor is well conditioned even when the full product is not, so
 multipliers far below the eigenvalue noise floor of the assembled product
 (strongly contracting cycles push them past 1e-16) are still recovered
 with full relative accuracy.  The determinant of phi is accumulated the
@@ -56,6 +57,10 @@ UNITY_TOL = 1e-3
 # Summed relative drift of the segment ends allowed over one period.
 _CLOSURE_DRIFT_TOL = 1e-4
 
+# Shooting segments of the monodromy, determinant and sweep passes, 32
+# of a found cycle's 512 samples each.
+_SEGMENTS = 16
+
 
 def _resolve_mask(mask, dim):
     if mask is None:
@@ -66,14 +71,6 @@ def _resolve_mask(mask, dim):
     if not np.all((m == 0.0) | (m == 1.0)):
         raise DimensionMismatch("mask entries must be 0 or 1")
     return m
-
-
-def _segments(n_samples, p):
-    """Sample indices of the p segment starts, each the sample nearest
-    s*T/p, and each segment's time scale c_s = L_s / mean(L): a segment
-    integrated for T/p in scaled time then covers exactly its L_s."""
-    bounds = np.rint(np.arange(p + 1) * (n_samples / p)).astype(int)
-    return bounds[:-1], np.diff(bounds) * (p / n_samples)
 
 
 def _check_closure(lc, ends, starts):
@@ -138,29 +135,25 @@ class LFDecomposition:
     period: float
 
 
-def _variational_rhs(model, kappas, mask, scales):
+def _variational_rhs(model, kappas, mask, p):
     """Right-hand side of the augmented system of p segments and B
     couplings on a (B*p, m + m^2) batch: row b*p + s is
-    ``[x_s, vec Y_bs]``, with time scaled by c_s = ``scales[s]``, so
-    x_s' = c_s f(x_s) and
-    Y_bs' = c_s [Df(x_s) - kappas[b] * DH] Y_bs.  Rows of one segment
-    carry the same state, so f and its Jacobian are evaluated once per
-    segment, in one batch call each."""
-    m, p = model.dim, len(scales)
+    ``[x_s, vec Y_bs]`` with x_s' = f(x_s) and
+    Y_bs' = [Df(x_s) - kappas[b] * DH] Y_bs.  Rows of one segment carry
+    the same state, so f and its Jacobian are evaluated once per segment,
+    in one batch call each."""
+    m = model.dim
     f, jac = model.node_field, model.node_jacobian
-    c = np.asarray(scales, dtype=float)[:, None]
-    c3 = c[:, :, None]
     # diag(mask) is DH; constant along the cycle (linear coupling).
-    shift = (np.asarray(kappas, dtype=float)[:, None, None, None] * c3
+    shift = (np.asarray(kappas, dtype=float)[:, None, None, None]
              * np.diag(mask))
 
     def rhs(z):
         xs = z[:p, :m]
-        a = jac(xs) * c3
         out = np.empty_like(z)
-        out.reshape(-1, p, z.shape[1])[:, :, :m] = f(xs) * c
+        out.reshape(-1, p, z.shape[1])[:, :, :m] = f(xs)
         ys = z[:, m:].reshape(-1, p, m, m)
-        out[:, m:] = ((a - shift) @ ys).reshape(-1, m * m)
+        out[:, m:] = ((jac(xs) - shift) @ ys).reshape(-1, m * m)
         return out
 
     return rhs
@@ -170,21 +163,22 @@ def _shoot(model, lc, kappas, mask, cfg, p):
     """The (B, p, m, m) segment factors of the one-period variational flow
     for every kappa, by multiple shooting over p segments.
 
-    Segment s starts at the cycle sample nearest s*T/p with its matrices
-    at the identity, and runs with its time scaled by c_s = L_s / mean(L),
-    so every segment ends at the same scaled time T/p (c_s = 1 whenever p
-    divides the sample count).  All segments and kappas are one
-    (B*p, m + m^2) batch integrated on one step sequence.  Raises
+    Segment s starts on cycle sample s*n/p, at time s*T/p, with its
+    matrices at the identity and runs for T/p.  All segments and kappas
+    are one (B*p, m + m^2) batch integrated on one step sequence.  Raises
+    :class:`DimensionMismatch` when p does not divide the sample count n,
     :class:`InvalidParam` for a non-finite kappa and :class:`ClosureDrift`
     from :func:`_check_closure`.
     """
-    m = model.dim
+    m, n = model.dim, len(lc.samples)
     mask = _resolve_mask(mask, m)
     kappas = np.asarray(kappas, dtype=float).ravel()
     if not np.all(np.isfinite(kappas)):
         raise InvalidParam(f"kappa must be finite, got {kappas}")
-    starts, scales = _segments(len(lc.samples), p)
-    rhs = _variational_rhs(model, kappas, mask, scales)
+    if n % p:
+        raise DimensionMismatch(f"{n} samples do not split into {p} segments")
+    starts = np.arange(p) * (n // p)
+    rhs = _variational_rhs(model, kappas, mask, p)
     z0 = np.zeros((len(kappas), p, m + m * m))
     z0[:, :, :m] = lc.samples[starts]
     z0[:, :, m:] = np.eye(m).ravel()
@@ -197,17 +191,21 @@ def _shoot(model, lc, kappas, mask, cfg, p):
 
 def variational_factors(model: OscillatorModel, lc: LimitCycle, kappas,
                         mask=None, cfg: IntegratorConfig | None = None):
-    """The (B, p, m, m) segment factors of :func:`_shoot` over p = 16
-    segments, or fewer so that the cyclic lift stays within 64 x 64."""
-    p = max(1, min(16, 64 // model.dim))
-    return _shoot(model, lc, kappas, mask, cfg, p)
+    """The (B, 16, m, m) segment factors of :func:`_shoot`: every model
+    shoots the same 16 segments."""
+    return _shoot(model, lc, kappas, mask, cfg, _SEGMENTS)
 
 
 def _cyclic_multipliers(factors):
-    """Eigenvalues of factors[p-1] @ ... @ factors[0] via the block-cyclic
-    lift, clustered back from their p-th roots."""
+    """Eigenvalues of factors[-1] @ ... @ factors[0] via the block-cyclic
+    lift, clustered back from their p-th roots.  Adjacent factors are
+    multiplied pairwise while the lift exceeds 64 x 64: 16 factors of a
+    six-state model give a 48 x 48 lift of 8 products."""
+    factors = np.asarray(factors)
+    m = factors.shape[1]
+    while len(factors) * m > 64:
+        factors = factors[1::2] @ factors[0::2]
     p = len(factors)
-    m = factors[0].shape[0]
     c = np.zeros((m * p, m * p))
     c[:m, -m:] = factors[-1]
     for i in range(p - 1):

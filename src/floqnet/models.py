@@ -82,9 +82,9 @@ def _stacked(fn):
 
 
 def vdp_model(mu: float = 1.0) -> OscillatorModel:
-    """Van der Pol oscillator with damping parameter ``mu > 0``."""
-    if not mu > 0:
-        raise InvalidParam(f"vdp requires mu > 0, got {mu}")
+    """Van der Pol oscillator with finite damping parameter ``mu > 0``."""
+    if not 0 < mu < math.inf:
+        raise InvalidParam(f"vdp requires finite mu > 0, got {mu}")
     mu = float(mu)
 
     def f(x):
@@ -157,14 +157,13 @@ def repressilator_model(alpha: float = 1000.0, alpha0: float = 1.0,
         dm_j/dt = -m_j + alpha / (1 + p_{j-1}^n) + alpha0
         dp_j/dt = -beta * (p_j - m_j),        j = 1, 2, 3,  p_0 == p_3
 
-    The Hill exponent ``n`` may be any real >= 1.
+    Every parameter is finite; the Hill exponent ``n`` any real >= 1.
     """
-    if not alpha > 0:
-        raise InvalidParam(f"repressilator requires alpha > 0, got {alpha}")
-    if not beta > 0:
-        raise InvalidParam(f"repressilator requires beta > 0, got {beta}")
-    if not n >= 1:
-        raise InvalidParam(f"repressilator requires n >= 1, got {n}")
+    if not (0 < alpha < math.inf and math.isfinite(alpha0)
+            and 0 < beta < math.inf and 1 <= n < math.inf):
+        raise InvalidParam(
+            "repressilator requires finite alpha > 0, alpha0, beta > 0 and "
+            f"n >= 1, got alpha={alpha}, alpha0={alpha0}, beta={beta}, n={n}")
     alpha, alpha0, beta, n = float(alpha), float(alpha0), float(beta), float(n)
 
     # indices: m_j at 2j, p_j at 2j+1; repressor of gene j is p_{j-1}

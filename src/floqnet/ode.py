@@ -69,8 +69,8 @@ class IntegratorConfig:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise InvalidParam("tolerances must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise InvalidParam("tolerances must be positive and finite")
         if self.max_step is not None and not self.max_step > 0:
             raise InvalidParam("max_step must be positive")
         if self.max_steps <= 0:
@@ -126,6 +126,8 @@ def _initial_step(field, x0, f0, span, max_step, rel_tol, abs_tol):
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
+    if h0 == 0.0:  # d1 overflowed: the underflow guard fails the step
+        return 0.0
     y1 = x0 + h0 * f0
     f1 = field(y1)
     d2 = _rms((f1 - f0) / scale) / h0
@@ -164,13 +166,11 @@ def _integrate_core(field, x0, t_span, cfg):
     y = y0.reshape(-1)
     k = np.empty((7, y.size))
     k[0] = rhs(y)
+    # Before the first-step heuristic, which divides by a zero trial step.
+    if not np.all(np.isfinite(k[0])):
+        raise StepFailure(f"non-finite derivative at t={t0:.6g}")
     h = _initial_step(field, y0, k[0].reshape(shape), span, max_step,
                       rel_tol, abs_tol)
-    # A NaN step would pass the underflow guard below and be halved until
-    # the step budget runs out.
-    if not (math.isfinite(h) and np.all(np.isfinite(k[0]))):
-        raise StepFailure(
-            f"non-finite derivative or first step at t={t0:.6g} (h={h:.3g})")
 
     t = t0
     n_steps = 0
@@ -184,7 +184,8 @@ def _integrate_core(field, x0, t_span, cfg):
                 f"exceeded {cfg.max_steps} steps at t={t:.6g}"
             )
         h = min(h, max_step, t1 - t)
-        if h <= 16 * _EPS * max(abs(t), 1.0):
+        # A NaN step fails here too; halved, it would run out the budget.
+        if not h > 16 * _EPS * max(abs(t), 1.0):
             raise StepFailure(f"step size underflow at t={t:.6g} (h={h:.3g})")
 
         for i in range(1, 6):

@@ -38,17 +38,18 @@ def sequential_factors(model, lc, kappas, mask=None, cfg=None):
     oracle for :func:`floqnet.floquet.variational_factors`.
 
     One step sequence carries the cycle state and one variational matrix
-    per kappa over the whole period, in p equal legs that each restart
-    the matrices at the identity; the cycle state runs on from the anchor
-    through every leg, with the scalar field and Jacobian.  Returns the
-    (B, p, m, m) segment factors and the cycle state after one period.
+    per kappa over the whole period, in p = 16 equal legs, the segments
+    of the shooting pass, that each restart the matrices at the identity;
+    the cycle state runs on from the anchor through every leg, with the
+    scalar field and Jacobian.  Returns the (B, 16, m, m) segment factors
+    and the cycle state after one period.
     """
     cfg = cfg or IntegratorConfig()
     m = model.dim
     mm = m * m
     mask = np.ones(m) if mask is None else np.asarray(mask, dtype=float)
     kappas = np.asarray(kappas, dtype=float).ravel()
-    p = max(1, min(16, 64 // m))
+    p = 16
     shift = kappas[:, None, None] * np.diag(mask)
 
     def rhs(z):

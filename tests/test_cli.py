@@ -64,21 +64,30 @@ class TestLimitCycleCommand:
         assert "StepFailure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["limit-cycle", "--model", "vdp", "--x0", "1,a"],
-    ["limit-cycle", "--model", "vdp", "--x0", "1,2,3"],
-    ["msf", "--model", "vdp", "--kappa-min", "0.5", "--kappa-max", "2",
-     "--points", "0"],
-    ["msf", "--model", "vdp", "--kappa-min", "2", "--kappa-max", "1",
-     "--points", "3"],
-    ["msf", "--model", "vdp", "--kappa-min", "-1", "--kappa-max", "1",
-     "--points", "3"],
+@pytest.mark.parametrize("argv,message", [
+    (["limit-cycle", "--model", "vdp", "--x0", "1,a"], "list of numbers"),
+    (["limit-cycle", "--model", "vdp", "--x0", "1,2,3"], "shape (2,)"),
+    (["msf", "--model", "vdp", "--kappa-min", "0.5", "--kappa-max", "2",
+      "--points", "0"], "needs points >= 1, got 0"),
+    (["msf", "--model", "vdp", "--kappa-min", "2", "--kappa-max", "1",
+      "--points", "3"], "strictly increasing"),
+    (["msf", "--model", "vdp", "--kappa-min", "-1", "--kappa-max", "1",
+      "--points", "3"], "finite and >= 0"),
+    (["limit-cycle", "--model", "repressilator", "--param", "alpha=inf"],
+     "finite alpha > 0"),
+    (["limit-cycle", "--model", "vdp", "--rel-tol", "inf"],
+     "positive and finite"),
+    (["limit-cycle", "--model", "vdp", "--abs-tol", "inf"],
+     "positive and finite"),
 ], ids=["x0-not-a-number", "x0-wrong-length", "msf-no-points",
-        "msf-decreasing-grid", "msf-negative-kappa"])
-def test_bad_input_is_config_error(argv, tmp_path, monkeypatch, capsys):
+        "msf-decreasing-grid", "msf-negative-kappa", "infinite-param",
+        "infinite-rel-tol", "infinite-abs-tol"])
+def test_bad_input_is_config_error(argv, message, tmp_path, monkeypatch,
+                                   capsys):
     monkeypatch.chdir(tmp_path)
     assert run_subcommand(argv) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
     assert not list(tmp_path.iterdir())
 
 

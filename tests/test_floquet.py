@@ -19,6 +19,7 @@ from floqnet.floquet import ajl_determinant, lf_decomposition, monodromy, \
 from floqnet.limit_cycle import find_limit_cycle
 from floqnet.models import get_model
 from floqnet.msf import _point, default_kappa_grid, msf_sweep
+from floqnet.ode import IntegratorConfig, _final_state
 from oracles import dense_lf, expm, sequential_factors
 
 VDP_MU2_REF = 8.596950636061e-04  # rel_tol 1e-12 reference
@@ -398,17 +399,71 @@ class TestMultipleShootingAgainstSequential:
             assert rel.max() < 1e-6, f"kappa={point.kappa}: {rel.max():.3g}"
             assert point.mu_max == pytest.approx(expected.mu_max, rel=1e-8)
 
-    def test_segments_start_on_nearest_samples(self):
-        # vdp: 16 segments of 32 samples, unscaled.
-        starts, scales = floquet._segments(512, 16)
-        assert np.array_equal(starts, np.arange(16) * 32)
-        assert np.array_equal(scales, np.ones(16))
-        # repressilator: 10 segments of 51 or 52 samples.
-        starts, scales = floquet._segments(512, 10)
-        assert np.array_equal(
-            starts, [0, 51, 102, 154, 205, 256, 307, 358, 410, 461])
-        lengths = np.diff(np.append(starts, 512))
-        assert np.allclose(scales, lengths / 51.2, rtol=1e-15)
+
+class TestSegmentGrid:
+    """Every pass but the Lyapunov-Floquet one shoots 16 segments of 32
+    of the 512 cycle samples; the lift pairs factors past 64 rows."""
+
+    @pytest.mark.parametrize("name,fixture", [("vdp", "vdp_cycle"),
+                                              ("repressilator", "rep_cycle")])
+    def test_segments_start_on_every_32nd_sample(self, name, fixture,
+                                                 request, monkeypatch):
+        lc = request.getfixturevalue(fixture)
+        seen = []
+
+        def recorded(field, x0, t_span, cfg):
+            seen.append((x0.copy(), t_span))
+            return _final_state(field, x0, t_span, cfg)
+
+        monkeypatch.setattr(floquet, "_final_state", recorded)
+        floquet.variational_factors(get_model(name), lc, [0.0, 1.0])
+        (x0, span), = seen
+        m = lc.samples.shape[1]
+        starts = x0.reshape(2, 16, -1)[:, :, :m]
+        assert np.array_equal(starts[0], lc.samples[np.arange(16) * 32])
+        assert np.array_equal(starts[1], starts[0])
+        assert span == (0.0, lc.period / 16)
+
+    def test_six_state_lift_is_built_from_8_paired_factors(self,
+                                                           monkeypatch):
+        rng = np.random.default_rng(3)
+        factors = rng.standard_normal((16, 6, 6))
+        sizes = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda c: sizes.append(c.shape) or eigvals(c))
+        paired = floquet._cyclic_multipliers(factors)
+        assert np.array_equal(paired, floquet._cyclic_multipliers(
+            factors[1::2] @ factors[0::2]))
+        # Two-state factors fit 16 to a 32 x 32 lift, unpaired.
+        floquet._cyclic_multipliers(rng.standard_normal((16, 2, 2)))
+        assert sizes == [(48, 48), (48, 48), (32, 32)]
+
+    def test_sample_count_not_split_by_16_is_dimension_mismatch(
+            self, vdp, vdp_cycle):
+        short = dataclasses.replace(vdp_cycle, times=vdp_cycle.times[:500],
+                                    samples=vdp_cycle.samples[:500])
+        with pytest.raises(DimensionMismatch, match="500 samples"):
+            floquet.variational_factors(vdp, short, [0.0])
+        with pytest.raises(DimensionMismatch, match="500 samples"):
+            monodromy(vdp, short)
+
+
+def test_repressilator_multipliers_match_tight_sequential_pass(
+        repressilator, rep_cycle):
+    # The partial-mask spectrum spans down to ~1e-57; every multiplier,
+    # the smallest included, must hold 1e-6 relative against the 16
+    # sequential legs at rel_tol 1e-12.
+    mask = [0, 1, 0, 1, 0, 1]
+    kappas = [0.0, 1.0, 10.0]
+    tight = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+    factors, _ = sequential_factors(repressilator, rep_cycle, kappas, mask,
+                                    tight)
+    for kappa, reference in zip(kappas, factors):
+        expected = floquet._cyclic_multipliers(reference)
+        got = monodromy(repressilator, rep_cycle, kappa, mask).multipliers
+        rel = np.abs(got - expected) / np.abs(expected)
+        assert rel.max() < 1e-6, f"kappa={kappa}: {rel.max():.3g}"
 
 
 class TestWorkBudget:

@@ -49,10 +49,9 @@ class TestVdp:
                                    -np.sqrt(4 - mu ** 2) / 2]))
 
     def test_invalid_mu(self):
-        with pytest.raises(InvalidParam):
-            vdp_model(0.0)
-        with pytest.raises(InvalidParam):
-            vdp_model(-1.0)
+        for mu in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(InvalidParam):
+                vdp_model(mu)
 
     def test_attractor_stays_in_box(self):
         model = vdp_model(1.0)
@@ -105,12 +104,12 @@ class TestRepressilator:
         assert rates[0] == pytest.approx(1001.0)
 
     def test_invalid_params(self):
-        with pytest.raises(InvalidParam):
-            repressilator_model(alpha=-1.0)
-        with pytest.raises(InvalidParam):
-            repressilator_model(beta=0.0)
-        with pytest.raises(InvalidParam):
-            repressilator_model(n=0.5)
+        for params in ({"alpha": -1.0}, {"beta": 0.0}, {"n": 0.5},
+                       {"alpha": np.inf}, {"beta": np.inf}, {"n": np.inf},
+                       {"alpha0": np.nan}, {"alpha0": np.inf},
+                       {"alpha0": -np.inf}):
+            with pytest.raises(InvalidParam):
+                repressilator_model(**params)
 
 
 class TestRotation:

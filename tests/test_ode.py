@@ -40,6 +40,10 @@ class TestIntegrate:
     def test_config_validation(self):
         with pytest.raises(InvalidParam):
             IntegratorConfig(rel_tol=-1.0)
+        for tol in ({"rel_tol": np.inf}, {"abs_tol": np.inf},
+                    {"rel_tol": np.nan}):
+            with pytest.raises(InvalidParam):
+                IntegratorConfig(**tol)
         with pytest.raises(InvalidParam):
             IntegratorConfig(max_steps=0)
         with pytest.raises(InvalidParam):
@@ -82,6 +86,19 @@ class TestIntegrate:
         with pytest.raises(StepFailure):
             integrate(nan_at_start, [1.0, 0.0], (0.0, 1.0))
         assert len(calls) <= 2
+
+    def test_infinite_initial_derivative_is_step_failure(self):
+        # The first-step heuristic would divide by a zero trial step.
+        with pytest.raises(StepFailure, match="non-finite derivative"):
+            integrate(lambda x: np.array([np.inf, 1.0]), [1.0, 0.0],
+                      (0.0, 1.0))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_initial_derivative_is_step_failure(self):
+        # Finite, but its error norm overflows: a zero first step.
+        with pytest.raises(StepFailure, match="underflow"):
+            integrate(lambda x: np.array([1e160, 1.0]), [1.0, 0.0],
+                      (0.0, 1.0))
 
     def test_round_off_gap_to_end_is_not_stepped(self):
         # For most of these t0 the last step stops a few ulps short of t1,
