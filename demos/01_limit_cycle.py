@@ -1,9 +1,11 @@
 """Finding limit cycles and periods.
 
 Each registered oscillator is integrated past its transient, a Poincare
-section is placed through the coordinate with the largest swing, and the
-period is estimated from the section return times.  The result is a
-uniform-phase sampled orbit.
+section is placed through the coordinate with the largest swing, and two
+section crossings give a first guess of the period and of 16 segment
+starts along one period.  Multiple-shooting Newton then solves for the
+segment starts and the period together.  The result is a uniform-phase
+sampled orbit, 32 samples per converged segment.
 """
 import numpy as np
 

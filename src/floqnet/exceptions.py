@@ -66,7 +66,8 @@ class InvalidParam(ConfigError):
 # -- limit_cycle ----------------------------------------------------------
 
 class FixedPointConvergence(NumericalError):
-    """Post-transient motion collapsed onto a fixed point; no cycle to find."""
+    """Post-transient motion, or the cycle search, collapsed onto a fixed
+    point; no cycle to find."""
 
 
 class NoCrossings(NumericalError):
@@ -74,7 +75,7 @@ class NoCrossings(NumericalError):
 
 
 class NotPeriodic(NumericalError):
-    """Successive section returns failed to contract onto a periodic orbit."""
+    """The cycle search did not converge onto a periodic orbit."""
 
 
 # -- floquet --------------------------------------------------------------

@@ -4,11 +4,13 @@ factorization.
 
 The variational equation is integrated jointly with the cycle state (an
 augmented m + m^2 system), so no interpolation of the reference orbit
-enters the multiplier error budget.  It is integrated in one place, by
-multiple shooting (:func:`_shoot`): segment s starts on the stored cycle
-sample s*n/p, at time s*T/p, and all p segments, for every coupling
-kappa, run as one batch on one step sequence.  Transition matrices are
-running products of the segment factors::
+enters the multiplier error budget.  It is integrated by multiple
+shooting (:func:`_shoot`, on the core
+:func:`~floqnet.limit_cycle._shoot_segments` that the cycle search also
+calls): segment s starts on the stored cycle sample s*n/p, at time s*T/p,
+and all p segments, for every coupling kappa, run as one batch on one
+step sequence.  Transition matrices are running products of the segment
+factors::
 
     phi(t_k, 0) = A_{k-1} @ ... @ A_0,        A_s = phi(t_{s+1}, t_s)
 
@@ -37,9 +39,9 @@ import numpy as np
 from . import linalg
 from .exceptions import ClosureDrift, DimensionMismatch, InvalidParam, \
     NonConvergence
-from .limit_cycle import LimitCycle
+from .limit_cycle import _SEGMENTS, LimitCycle, _shoot_segments
 from .models import OscillatorModel
-from .ode import IntegratorConfig, _final_state
+from .ode import IntegratorConfig
 
 __all__ = [
     "Monodromy",
@@ -56,10 +58,6 @@ UNITY_TOL = 1e-3
 
 # Summed relative drift of the segment ends allowed over one period.
 _CLOSURE_DRIFT_TOL = 1e-4
-
-# Shooting segments of the monodromy, determinant and sweep passes, 32
-# of a found cycle's 512 samples each.
-_SEGMENTS = 16
 
 
 def _resolve_mask(mask, dim):
@@ -135,37 +133,12 @@ class LFDecomposition:
     period: float
 
 
-def _variational_rhs(model, kappas, mask, p):
-    """Right-hand side of the augmented system of p segments and B
-    couplings on a (B*p, m + m^2) batch: row b*p + s is
-    ``[x_s, vec Y_bs]`` with x_s' = f(x_s) and
-    Y_bs' = [Df(x_s) - kappas[b] * DH] Y_bs.  Rows of one segment carry
-    the same state, so f and its Jacobian are evaluated once per segment,
-    in one batch call each."""
-    m = model.dim
-    f, jac = model.node_field, model.node_jacobian
-    # diag(mask) is DH; constant along the cycle (linear coupling).
-    shift = (np.asarray(kappas, dtype=float)[:, None, None, None]
-             * np.diag(mask))
-
-    def rhs(z):
-        xs = z[:p, :m]
-        out = np.empty_like(z)
-        out.reshape(-1, p, z.shape[1])[:, :, :m] = f(xs)
-        ys = z[:, m:].reshape(-1, p, m, m)
-        out[:, m:] = ((jac(xs) - shift) @ ys).reshape(-1, m * m)
-        return out
-
-    return rhs
-
-
 def _shoot(model, lc, kappas, mask, cfg, p):
     """The (B, p, m, m) segment factors of the one-period variational flow
     for every kappa, by multiple shooting over p segments.
 
     Segment s starts on cycle sample s*n/p, at time s*T/p, with its
-    matrices at the identity and runs for T/p.  All segments and kappas
-    are one (B*p, m + m^2) batch integrated on one step sequence.  Raises
+    matrices at the identity and runs for T/p.  Raises
     :class:`DimensionMismatch` when p does not divide the sample count n,
     :class:`InvalidParam` for a non-finite kappa and :class:`ClosureDrift`
     from :func:`_check_closure`.
@@ -178,13 +151,8 @@ def _shoot(model, lc, kappas, mask, cfg, p):
     if n % p:
         raise DimensionMismatch(f"{n} samples do not split into {p} segments")
     starts = np.arange(p) * (n // p)
-    rhs = _variational_rhs(model, kappas, mask, p)
-    z0 = np.zeros((len(kappas), p, m + m * m))
-    z0[:, :, :m] = lc.samples[starts]
-    z0[:, :, m:] = np.eye(m).ravel()
-    z_end = _final_state(rhs, z0.reshape(len(kappas) * p, -1),
-                         (0.0, lc.period / p),
-                         cfg or IntegratorConfig()).reshape(z0.shape)
+    z_end = _shoot_segments(model, lc.samples[starts], lc.period / p,
+                            kappas, mask, cfg or IntegratorConfig())
     _check_closure(lc, z_end[0, :, :m], starts)
     return z_end[:, :, m:].reshape(-1, p, m, m)
 

@@ -3,11 +3,16 @@ a reusable sampled cycle.
 
 Strategy: settle past the transient, scout one window to pick a Poincare
 section through the coordinate with the largest swing (robust when some
-states barely move, e.g. repressilator mRNAs), then stream upward section
-returns at full accuracy until the returns the period average spans agree.
-The final cycle is re-integrated from the last (most converged) return,
-at 1/100 of the configured tolerances, and stored as uniform-phase
-samples.
+states barely move, e.g. repressilator mRNAs), and seed the period and 16
+segment starts from the last two upward section crossings.  Multiple-
+shooting Newton then solves for the starts x_s and the period T: the
+residuals are the gaps phi_{T/16}(x_s) - x_{s+1}, taken cyclically, and
+the phase condition that x_0 lies on the section.  One dense batch pass
+of the converged segments over T/16 gives 512 uniform-phase samples.
+
+:func:`_shoot_segments` is the one place the augmented state +
+variational system is integrated, for this search and for every pass of
+:mod:`floqnet.floquet`.
 """
 from __future__ import annotations
 
@@ -19,23 +24,34 @@ from .exceptions import DimensionMismatch, FixedPointConvergence, \
     NoCrossings, NotPeriodic
 from .models import OscillatorModel
 from .ode import IntegratorConfig, _final_state, _integrate_core, \
-    _section_crossings, integrate
+    _refine_crossing, _section_crossings, integrate
 
 __all__ = ["LimitCycle", "find_limit_cycle"]
 
-# Relative agreement demanded of the section returns the period average
-# spans, and of the cycle closure ||x(T) - x(0)|| / ||x(0)||.
+# Largest closure residual (summed relative segment gaps) accepted.
 CLOSURE_TOL = 1e-6
 
-# Uniform-phase samples stored per cycle.
+# Uniform-phase samples stored per cycle, and shooting segments of the
+# search and of every variational pass (32 samples each).
 _N_SAMPLES = 512
+_SEGMENTS = 16
+
+# Swing below which the motion, or the Newton iterate, is a fixed point.
+_MIN_AMPLITUDE = 1e-6
 
 _SCOUT_WINDOW = 60.0
-# Time the return stream may run past the scout leg before giving up.
+# Time the search may run past the scout leg for its two crossings.
 _STREAM_BUDGET = 16 * _SCOUT_WINDOW
-_MIN_CROSSINGS = 8
-# Section returns the period average spans (their last five gaps).
-_AVERAGED_RETURNS = 6
+
+_NEWTON_ITERATIONS = 12
+# Relative Newton step below which the tolerances tighten to 1/100, and
+# below which, at the tight tolerances, the iteration stops.
+_STEP_TOL = 1e-6
+# Singular values of the Newton matrix cut relative to the largest: a
+# family of cycles (linear_rotation's circles) makes the matrix singular
+# up to integration error (1.8e-10 relative for a period-100 rotation),
+# and an uncut step runs along the family.
+_RCOND = 1e-7
 
 
 @dataclass(frozen=True)
@@ -43,11 +59,12 @@ class LimitCycle:
     """A periodic orbit: period, anchor state, and uniform-phase samples.
 
     ``samples[k]`` is the orbit at time ``times[k] = k*T/N`` past the
-    anchor, taken from the dense output of one integration over a period
-    at 1/100 of the configured tolerances.  The samples are the segment
-    starts of every variational pass
-    (:func:`~floqnet.floquet.variational_factors`), so their error enters
-    the multipliers directly.
+    anchor ``samples[0]``.  Sample 32*s is the converged start of shooting
+    segment s, and the 31 after it come from one dense batch pass of the
+    16 segments over T/16 at 1/100 of the configured tolerances.  They
+    start every variational pass, so their error enters the multipliers
+    directly.  ``closure_residual`` sums that pass's gaps, each segment
+    end's distance from the next start, relative to the anchor.
     """
 
     period: float
@@ -57,22 +74,104 @@ class LimitCycle:
     closure_residual: float
 
 
-def _relaxed(cfg: IntegratorConfig) -> IntegratorConfig:
-    # Transient legs only need to land near the attractor; tight error
-    # control there buys nothing.
-    return IntegratorConfig(
-        rel_tol=max(cfg.rel_tol, 1e-7),
-        abs_tol=max(cfg.abs_tol, 1e-9),
-        max_steps=cfg.max_steps,
-    )
+def _shoot_segments(model, starts, span, kappas, mask, cfg):
+    """The (B, p, m + m^2) ends after ``span`` of the augmented system
+    ``[x_s, vec Y_bs]``, x_s' = f(x_s), Y_bs' = [Df(x_s) - kappas[b] DH]
+    Y_bs, from x_s = ``starts[s]`` and Y_bs = I, with DH = diag(mask).
+    All rows are one (B*p, m + m^2) batch on one step sequence; rows of
+    one segment carry the same state, so f and Df are evaluated once per
+    segment, in one batch call each."""
+    p, m = starts.shape
+    f, jac = model.node_field, model.node_jacobian
+    shift = (np.asarray(kappas, dtype=float)[:, None, None, None]
+             * np.diag(mask))
+
+    def rhs(z):
+        xs = z[:p, :m]
+        out = np.empty_like(z)
+        out.reshape(-1, p, z.shape[1])[:, :, :m] = f(xs)
+        ys = z[:, m:].reshape(-1, p, m, m)
+        out[:, m:] = ((jac(xs) - shift) @ ys).reshape(-1, m * m)
+        return out
+
+    z0 = np.zeros((len(kappas), p, m + m * m))
+    z0[:, :, :m] = starts
+    z0[:, :, m:] = np.eye(m).ravel()
+    return _final_state(rhs, z0.reshape(len(kappas) * p, -1), (0.0, span),
+                        cfg).reshape(z0.shape)
 
 
-def _return_drift(states):
-    """Relative distance between the last section return and the first of
-    the returns the period average spans."""
-    first, last = states[-min(len(states), _AVERAGED_RETURNS)], states[-1]
-    return float(np.linalg.norm(last - first)
-                 / max(np.linalg.norm(first), 1e-300))
+def _first_guess(f, scout, section, coord, level, relaxed):
+    """Period and segment starts from the last two upward crossings of the
+    section: the scout's, refined on its dense polynomials, or for a cycle
+    slower than the scout window those of a relaxed stream from its end."""
+    g = scout.states[:, coord] - level
+    crossings = []
+    for i in np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))[-2:]:
+        t = _refine_crossing(section, scout._rcont[i], scout.times[i],
+                             scout.times[i + 1] - scout.times[i])
+        crossings.append((t, scout.eval(t)))
+    if len(crossings) < 2:
+        span = (_SCOUT_WINDOW, _SCOUT_WINDOW + _STREAM_BUDGET)
+        steps = _integrate_core(f, scout.states[-1], span,
+                                replace(relaxed, max_step=_SCOUT_WINDOW / 10))
+        for crossing in _section_crossings(steps, section):
+            crossings.append(crossing)
+            if len(crossings) == 2:
+                break
+    if not crossings:
+        raise NoCrossings(
+            f"section x[{coord}]={level:.6g} never crossed upward within "
+            f"{_SCOUT_WINDOW + _STREAM_BUDGET:.0f} time units")
+    if len(crossings) < 2:
+        raise NotPeriodic("fewer than two section returns found")
+    (t_a, x_a), (t_b, _) = crossings
+    guide = scout if t_b <= scout.times[-1] else \
+        integrate(f, x_a, (t_a, t_b), relaxed)
+    phases = t_a + np.arange(_SEGMENTS) * ((t_b - t_a) / _SEGMENTS)
+    return guide.eval(phases), t_b - t_a
+
+
+def _newton(model, x, period, coord, level, cfg, tight):
+    """Segment starts and period of the cycle by multiple-shooting Newton.
+
+    The Jacobian of the gaps and the phase condition is cyclic
+    block-bidiagonal: A_s = D phi_{T/p}(x_s), from the same batch as the
+    gaps, on the diagonal, -I beside it, and f(phi_{T/p}(x_s))/p in the
+    T column.  Iterations run at ``cfg`` until the step is small, then at
+    ``tight`` until it is small again.
+    """
+    p, m = x.shape
+    n, idx = p * m, np.arange(p)
+    jac = np.zeros((n + 1, n + 1))
+    jac[n, coord] = 1.0
+    tol = cfg
+    for _ in range(_NEWTON_ITERATIONS):
+        z = _shoot_segments(model, x, period / p, [0.0], np.zeros(m), tol)[0]
+        ends = z[:, :m]
+        blocks = np.zeros((p, m, p, m))
+        blocks[idx, :, idx, :] = z[:, m:].reshape(p, m, m)
+        blocks[idx, :, (idx + 1) % p, :] = -np.eye(m)
+        jac[:n, :n] = blocks.reshape(n, n)
+        jac[:n, n] = model.node_field(ends).ravel() / p
+        residual = np.append(ends - np.roll(x, -1, axis=0),
+                             x[0, coord] - level)
+        step = np.linalg.lstsq(jac, -residual, rcond=_RCOND)[0]
+        x = x + step[:n].reshape(p, m)
+        period += step[n]
+        if np.ptp(x, axis=0).max() < _MIN_AMPLITUDE:
+            raise FixedPointConvergence(
+                "shooting segment starts collapsed onto one point")
+        if not period > 0.0:
+            raise NotPeriodic(f"shooting Newton reached period {period:.3g}")
+        if (np.linalg.norm(step[:n]) <= _STEP_TOL * np.linalg.norm(x)
+                and abs(step[n]) <= _STEP_TOL * period):
+            if tol is tight:
+                return x, float(period)
+            tol = tight
+    raise NotPeriodic(
+        f"shooting Newton did not converge in {_NEWTON_ITERATIONS} "
+        "iterations")
 
 
 def find_limit_cycle(model: OscillatorModel, x0=None,
@@ -89,16 +188,21 @@ def find_limit_cycle(model: OscillatorModel, x0=None,
     DimensionMismatch
         ``x0`` is not a state vector of the model's dimension.
     FixedPointConvergence
-        Post-transient oscillation amplitude below 1e-6.
+        Post-transient oscillation amplitude, or the swing of the Newton
+        iterate's segment starts, below 1e-6.
     NoCrossings
         The section was never crossed upward within the search budget.
     NotPeriodic
-        Fewer than two section returns, returns that did not agree within
-        1e-6 (relative), or a closure residual of 1e-6 or more.
+        Fewer than two section crossings, no Newton convergence within
+        12 iterations, or a closure residual of 1e-6 or more.
     """
     cfg = cfg or IntegratorConfig()
     f = model.field
-    relaxed = _relaxed(cfg)
+    # Transient legs only need to land near the attractor.
+    relaxed = IntegratorConfig(rel_tol=max(cfg.rel_tol, 1e-7),
+                               abs_tol=max(cfg.abs_tol, 1e-9),
+                               max_steps=cfg.max_steps)
+    tight = replace(cfg, rel_tol=cfg.rel_tol / 100, abs_tol=cfg.abs_tol / 100)
 
     x = np.asarray(model.default_initial if x0 is None else x0, dtype=float)
     if x.shape != (model.dim,):
@@ -111,7 +215,7 @@ def find_limit_cycle(model: OscillatorModel, x0=None,
     scout = integrate(f, x, (0.0, _SCOUT_WINDOW), relaxed)
     xs = scout.eval(np.linspace(0.0, _SCOUT_WINDOW, 1025))
     amplitude = xs.max(axis=0) - xs.min(axis=0)
-    if amplitude.max() < 1e-6:
+    if amplitude.max() < _MIN_AMPLITUDE:
         raise FixedPointConvergence(
             f"post-transient amplitude {amplitude.max():.3g} < 1e-6; "
             "trajectory has collapsed onto a fixed point"
@@ -122,52 +226,21 @@ def find_limit_cycle(model: OscillatorModel, x0=None,
     def section(x):
         return x[coord] - level
 
-    # Return stream at full accuracy from the end of the scout leg, whose
-    # time also counts as settling; it stops once the returns converge.
-    stream_cfg = replace(cfg, max_step=cfg.max_step or _SCOUT_WINDOW / 10)
-    steps = _integrate_core(f, scout.states[-1], (0.0, _STREAM_BUDGET),
-                            stream_cfg)
-    t_cross, states = [], []
-    for t, state in _section_crossings(steps, section):
-        t_cross.append(t)
-        states.append(state)
-        if (len(states) >= _MIN_CROSSINGS
-                and _return_drift(states) < CLOSURE_TOL):
-            break
+    starts, period = _first_guess(f, scout, section, coord, level,
+                                  relaxed)
+    starts, period = _newton(model, starts, period, coord, level, cfg, tight)
 
-    # The scout leg's own upward crossing counts as one return.
-    g = xs[:, coord] - level
-    if not states and not np.any((g[:-1] < 0.0) & (g[1:] >= 0.0)):
-        raise NoCrossings(
-            f"section x[{coord}]={level:.6g} never crossed upward within "
-            f"{_SCOUT_WINDOW + _STREAM_BUDGET:.0f} time units"
-        )
-    if len(states) < 2:
-        raise NotPeriodic("fewer than two section returns found")
-    rel_dist = _return_drift(states)
-    if rel_dist >= CLOSURE_TOL:
+    # One dense pass over the converged segments gives the samples.
+    dense = integrate(model.node_field, starts, (0.0, period / _SEGMENTS),
+                      tight)
+    gaps = np.linalg.norm(dense.states[-1] - np.roll(starts, -1, axis=0),
+                          axis=1)
+    closure = float(gaps.sum() / np.linalg.norm(starts[0]))
+    if not closure < CLOSURE_TOL:
         raise NotPeriodic(
-            f"section returns still {rel_dist:.3g} apart (relative); "
-            "orbit has not converged onto a cycle"
-        )
-    period = float(np.mean(np.diff(t_cross[-_AVERAGED_RETURNS:])))
-
-    anchor = states[-1]
-    # The samples start the variational segments: integrate them tighter.
-    closing = replace(cfg, rel_tol=cfg.rel_tol / 100,
-                      abs_tol=cfg.abs_tol / 100)
-    one_period = integrate(f, anchor, (0.0, period), closing)
-    closure = float(
-        np.linalg.norm(one_period.states[-1] - anchor)
-        / np.linalg.norm(anchor)
-    )
-    if closure >= CLOSURE_TOL:
-        raise NotPeriodic(
-            f"closure residual {closure:.3g} exceeds {CLOSURE_TOL:g}"
-        )
-
+            f"closure residual {closure:.3g} exceeds {CLOSURE_TOL:g}")
     times = np.arange(_N_SAMPLES) * (period / _N_SAMPLES)
-    return LimitCycle(
-        period=period, anchor=anchor.copy(), times=times,
-        samples=one_period.eval(times), closure_residual=closure,
-    )
+    samples = dense.eval(times[:_N_SAMPLES // _SEGMENTS]).transpose(1, 0, 2)
+    return LimitCycle(period=period, anchor=starts[0].copy(), times=times,
+                      samples=samples.reshape(_N_SAMPLES, -1),
+                      closure_residual=closure)

@@ -16,6 +16,7 @@ multiplier error.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,8 +74,10 @@ class IntegratorConfig:
             raise InvalidParam("tolerances must be positive and finite")
         if self.max_step is not None and not self.max_step > 0:
             raise InvalidParam("max_step must be positive")
-        if self.max_steps <= 0:
-            raise InvalidParam("max_steps must be positive")
+        # NaN would switch the step budget off; a bool is not a count.
+        n = self.max_steps
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+            raise InvalidParam(f"max_steps must be an integer >= 1, got {n!r}")
 
 
 class Trajectory:

@@ -1,7 +1,11 @@
 """Reference implementations that tests compare the package against."""
+from dataclasses import replace
+
 import numpy as np
 
-from floqnet.ode import IntegratorConfig, _final_state, integrate
+from floqnet.limit_cycle import LimitCycle
+from floqnet.ode import IntegratorConfig, _final_state, _integrate_core, \
+    _section_crossings, integrate
 
 
 def expm(m):
@@ -103,3 +107,49 @@ def dense_lf(model, lc, cfg=None):
     p = np.array([expm(r * t) @ np.linalg.inv(phi)
                   for t, phi in zip(lc.times, phis)])
     return r, p
+
+
+def poincare_cycle(model, cfg=None):
+    """The Poincare-return search that multiple-shooting Newton replaced,
+    the oracle for :func:`floqnet.limit_cycle.find_limit_cycle`.
+
+    The same settle and scout legs choose the same section; then upward
+    section returns stream at full accuracy, for at most 960 time units,
+    until at least 8 are in and the last of the final six is within 1e-6
+    (relative) of the first.  The period is the mean of the last five
+    return gaps; the samples come from one integration over a period from
+    the last return at 1/100 of the tolerances.
+    """
+    cfg = cfg or IntegratorConfig()
+    relaxed = IntegratorConfig(rel_tol=max(cfg.rel_tol, 1e-7),
+                               abs_tol=max(cfg.abs_tol, 1e-9))
+    x = model.default_initial
+    if model.transient_hint > 0:
+        x = _final_state(model.field, x, (0.0, model.transient_hint), relaxed)
+    scout = integrate(model.field, x, (0.0, 60.0), relaxed)
+    xs = scout.eval(np.linspace(0.0, 60.0, 1025))
+    coord = int(np.argmax(xs.max(axis=0) - xs.min(axis=0)))
+    level = float(xs[:, coord].mean())
+
+    def drift(states):
+        first = states[-min(len(states), 6)]
+        return np.linalg.norm(states[-1] - first) / np.linalg.norm(first)
+
+    steps = _integrate_core(model.field, scout.states[-1], (0.0, 960.0),
+                            replace(cfg, max_step=cfg.max_step or 6.0))
+    t_cross, states = [], []
+    for t, state in _section_crossings(steps, lambda x: x[coord] - level):
+        t_cross.append(t)
+        states.append(state)
+        if len(states) >= 8 and drift(states) < 1e-6:
+            break
+    assert len(states) >= 8 and drift(states) < 1e-6, "returns did not agree"
+    period = float(np.mean(np.diff(t_cross[-6:])))
+    closing = replace(cfg, rel_tol=cfg.rel_tol / 100,
+                      abs_tol=cfg.abs_tol / 100)
+    one_period = integrate(model.field, states[-1], (0.0, period), closing)
+    closure = float(np.linalg.norm(one_period.states[-1] - states[-1])
+                    / np.linalg.norm(states[-1]))
+    times = np.arange(512) * (period / 512)
+    return LimitCycle(period=period, anchor=states[-1], times=times,
+                      samples=one_period.eval(times), closure_residual=closure)

@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from floqnet import floquet, linalg
+from floqnet import floquet, limit_cycle, linalg
 from floqnet.exceptions import ClosureDrift, DimensionMismatch, \
     InvalidParam
 from floqnet.floquet import ajl_determinant, lf_decomposition, monodromy, \
@@ -415,7 +415,8 @@ class TestSegmentGrid:
             seen.append((x0.copy(), t_span))
             return _final_state(field, x0, t_span, cfg)
 
-        monkeypatch.setattr(floquet, "_final_state", recorded)
+        # The shooting core that floquet shares with the cycle search.
+        monkeypatch.setattr(limit_cycle, "_final_state", recorded)
         floquet.variational_factors(get_model(name), lc, [0.0, 1.0])
         (x0, span), = seen
         m = lc.samples.shape[1]

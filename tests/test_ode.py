@@ -44,8 +44,11 @@ class TestIntegrate:
                     {"rel_tol": np.nan}):
             with pytest.raises(InvalidParam):
                 IntegratorConfig(**tol)
-        with pytest.raises(InvalidParam):
-            IntegratorConfig(max_steps=0)
+        # The step budget is an integer >= 1: NaN would switch it off.
+        for steps in (0, np.nan, 2.5, True):
+            with pytest.raises(InvalidParam):
+                IntegratorConfig(max_steps=steps)
+        assert IntegratorConfig(max_steps=np.int64(5)).max_steps == 5
         with pytest.raises(InvalidParam):
             integrate(harmonic, [1.0, 0.0], (1.0, 0.0))
 
