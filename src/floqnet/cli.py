@@ -217,11 +217,8 @@ def _write_json(path, obj):
 def _cmd_limit_cycle(args, config):
     model = _model_from(args, config)
     cfg = _integrator_from(args, config)
-    x0 = None
-    if args.x0 is not None:
-        x0 = _floats_from(args.x0, "--x0")
-    elif "initial" in config:
-        x0 = _floats_from(config["initial"], "initial")
+    # A config's ``initial`` is a network state for ``simulate``.
+    x0 = None if args.x0 is None else _floats_from(args.x0, "--x0")
     lc = find_limit_cycle(model, x0=x0, cfg=cfg)
 
     out = args.out or "limit_cycle"

@@ -4,7 +4,10 @@ a reusable sampled cycle.
 Strategy: settle past the transient, scout one window to pick a Poincare
 section through the coordinate with the largest swing (robust when some
 states barely move, e.g. repressilator mRNAs), and seed the period and 16
-segment starts from the last two upward section crossings.  Multiple-
+segment starts from the last two upward section crossings, located on
+the scout's stored steps by :meth:`floqnet.ode.Trajectory.crossing` (a
+cycle slower than the window runs on in legs of the window's length
+until two are in).  Multiple-
 shooting Newton then solves for the starts x_s and the period T: the
 residuals are the gaps phi_{T/16}(x_s) - x_{s+1}, taken cyclically, and
 the phase condition that x_0 lies on the section.  One dense batch pass
@@ -23,8 +26,7 @@ import numpy as np
 from .exceptions import DimensionMismatch, FixedPointConvergence, \
     NoCrossings, NotPeriodic
 from .models import OscillatorModel
-from .ode import IntegratorConfig, _final_state, _integrate_core, \
-    _refine_crossing, _section_crossings, integrate
+from .ode import IntegratorConfig, _final_state, _upward_steps, integrate
 
 __all__ = ["LimitCycle", "find_limit_cycle"]
 
@@ -40,8 +42,9 @@ _SEGMENTS = 16
 _MIN_AMPLITUDE = 1e-6
 
 _SCOUT_WINDOW = 60.0
-# Time the search may run past the scout leg for its two crossings.
-_STREAM_BUDGET = 16 * _SCOUT_WINDOW
+# End of the search for two section crossings: the scout window, then up
+# to 16 legs of its length, so the span/10 step cap is 6 time units.
+_SEARCH_END = 17 * _SCOUT_WINDOW
 
 _NEWTON_ITERATIONS = 12
 # Relative Newton step below which the tolerances tighten to 1/100, and
@@ -101,31 +104,30 @@ def _shoot_segments(model, starts, span, kappas, mask, cfg):
                         cfg).reshape(z0.shape)
 
 
-def _first_guess(f, scout, section, coord, level, relaxed):
+def _first_guess(f, scout, coord, level, relaxed):
     """Period and segment starts from the last two upward crossings of the
-    section: the scout's, refined on its dense polynomials, or for a cycle
-    slower than the scout window those of a relaxed stream from its end."""
-    g = scout.states[:, coord] - level
-    crossings = []
-    for i in np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))[-2:]:
-        t = _refine_crossing(section, scout._rcont[i], scout.times[i],
-                             scout.times[i + 1] - scout.times[i])
-        crossings.append((t, scout.eval(t)))
-    if len(crossings) < 2:
-        span = (_SCOUT_WINDOW, _SCOUT_WINDOW + _STREAM_BUDGET)
-        steps = _integrate_core(f, scout.states[-1], span,
-                                replace(relaxed, max_step=_SCOUT_WINDOW / 10))
-        for crossing in _section_crossings(steps, section):
-            crossings.append(crossing)
-            if len(crossings) == 2:
-                break
-    if not crossings:
+    section on the scout, or for a cycle slower than the scout window the
+    first two on it and on relaxed legs of the window's length run on from
+    its end.  Each crossing is refined on its step's dense polynomial."""
+    def section(x):
+        return x[coord] - level
+
+    def upward(traj):
+        return _upward_steps(traj.states[:, coord] - level)
+
+    found = [scout.crossing(i, section) for i in upward(scout)[-2:]]
+    leg = scout
+    while len(found) < 2 and leg.times[-1] < _SEARCH_END:
+        t = leg.times[-1]
+        leg = integrate(f, leg.states[-1], (t, t + _SCOUT_WINDOW), relaxed)
+        found += [leg.crossing(i, section) for i in upward(leg)]
+    if not found:
         raise NoCrossings(
             f"section x[{coord}]={level:.6g} never crossed upward within "
-            f"{_SCOUT_WINDOW + _STREAM_BUDGET:.0f} time units")
-    if len(crossings) < 2:
+            f"{_SEARCH_END:.0f} time units")
+    if len(found) < 2:
         raise NotPeriodic("fewer than two section returns found")
-    (t_a, x_a), (t_b, _) = crossings
+    (t_a, x_a), (t_b, _) = found[:2]
     guide = scout if t_b <= scout.times[-1] else \
         integrate(f, x_a, (t_a, t_b), relaxed)
     phases = t_a + np.arange(_SEGMENTS) * ((t_b - t_a) / _SEGMENTS)
@@ -223,11 +225,7 @@ def find_limit_cycle(model: OscillatorModel, x0=None,
     coord = int(np.argmax(amplitude))
     level = float(xs[:, coord].mean())
 
-    def section(x):
-        return x[coord] - level
-
-    starts, period = _first_guess(f, scout, section, coord, level,
-                                  relaxed)
+    starts, period = _first_guess(f, scout, coord, level, relaxed)
     starts, period = _newton(model, starts, period, coord, level, cfg, tight)
 
     # One dense pass over the converged segments gives the samples.

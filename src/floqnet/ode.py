@@ -2,7 +2,11 @@
 
 A single, hard-validated integrator: the Dormand-Prince 5(4) embedded pair
 with its free 4th-order continuous extension, FSAL, and a PI-free standard
-step controller.
+step controller.  No step is longer than a tenth of the span.
+
+Upward zero-crossings of an event function are located on a stored
+:class:`Trajectory`: a sign change between two nodes marks the step, and
+bisection on that step's dense polynomial refines the time.
 
 The solver handles autonomous vector fields only (``field(x) -> dx/dt``),
 which is all this package needs; time-dependence such as coupling
@@ -59,21 +63,18 @@ _SAFETY = 0.9
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and budgets for one adaptive integration.
+    """Tolerances and the step budget of one adaptive integration.
 
-    ``max_step=None`` resolves to one tenth of the span at integrate time.
+    No step is longer than one tenth of the span.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
-    max_step: float | None = None
     max_steps: int = 10_000_000
 
     def __post_init__(self):
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
             raise InvalidParam("tolerances must be positive and finite")
-        if self.max_step is not None and not self.max_step > 0:
-            raise InvalidParam("max_step must be positive")
         # NaN would switch the step budget off; a bool is not a count.
         n = self.max_steps
         if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
@@ -115,6 +116,19 @@ class Trajectory:
         out[exact] = self.states[idx[exact]]
         return out[0] if t_arr.ndim == 0 else out
 
+    def crossing(self, i, event):
+        """``(t, state)`` of the upward zero of ``event`` on step ``i``,
+        whose node values go from < 0 to >= 0 (see :func:`_upward_steps`),
+        bisected on the step's dense polynomial."""
+        t = _refine_crossing(event, self._rcont[i], self.times[i],
+                             self.times[i + 1] - self.times[i])
+        return t, self.eval(t)
+
+
+def _upward_steps(g):
+    """Indices of the steps whose node values ``g`` go from < 0 to >= 0."""
+    return np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))
+
 
 def _rms(v):
     """RMS norm of a state, or of its worst row for a (B, d) batch."""
@@ -138,7 +152,7 @@ def _initial_step(field, x0, f0, span, max_step, rel_tol, abs_tol):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, max_step, span)
+    return min(100 * h0, h1, max_step)
 
 
 def _integrate_core(field, x0, t_span, cfg):
@@ -160,7 +174,7 @@ def _integrate_core(field, x0, t_span, cfg):
         raise InvalidParam("x0 has non-finite entries")
     shape = y0.shape
     span = t1 - t0
-    max_step = cfg.max_step if cfg.max_step is not None else span / 10.0
+    max_step = span / 10.0
     rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
 
     # The loop runs on flat states; a batch field sees its (B, d) shape.
@@ -264,41 +278,6 @@ def _refine_crossing(event, rcont, t_lo, h):
     return t_lo + 0.5 * (a + b) * h
 
 
-def _section_crossings(steps, event):
-    """Yield the upward zero-crossings ``(time, state)`` of ``event`` along
-    a stream of 1-D steps, building dense coefficients only where one lies."""
-    g_hi = None
-    for t, h, y, y_new, k in steps:
-        g_lo = float(event(y)) if g_hi is None else g_hi
-        g_hi = float(event(y_new))
-        if g_lo < 0.0 <= g_hi:
-            r = _dense_coeffs(h, y, y_new, k)
-            tc = _refine_crossing(event, r, t, h)
-            yield tc, _dense_eval(r, (tc - t) / h)
-
-
-def _consume(field, x0, t_span, cfg, event=None):
-    """Collect the step stream of one integration into a
-    :class:`Trajectory`, with the upward zero-crossings of ``event``."""
-    shape = np.shape(x0)
-    times, states = [float(t_span[0])], [np.asarray(x0, dtype=float).ravel()]
-    rconts = []
-
-    def recorded():
-        for t, h, y, y_new, k in _integrate_core(field, x0, t_span, cfg):
-            times.append(t + h)
-            states.append(y_new)
-            rconts.append(_dense_coeffs(h, y, y_new, k))
-            yield t, h, y, y_new, k
-
-    steps = recorded()
-    crossings = [] if event is None else list(_section_crossings(steps, event))
-    for _ in steps:  # without an event nothing has drawn the steps yet
-        pass
-    return Trajectory(np.array(times), np.array(states).reshape((-1,) + shape),
-                      np.array(rconts).reshape((-1, 5) + shape)), crossings
-
-
 def integrate(field, x0, t_span, cfg=None):
     """Integrate ``dx/dt = field(x)`` over ``t_span = (t0, t1)``.
 
@@ -307,8 +286,16 @@ def integrate(field, x0, t_span, cfg=None):
     output.  Raises :class:`StepFailure`, :class:`Blowup`, or
     :class:`StepBudgetExceeded` on the corresponding failures.
     """
-    traj, _ = _consume(field, x0, t_span, cfg or IntegratorConfig())
-    return traj
+    shape = np.shape(x0)
+    times, states = [float(t_span[0])], [np.asarray(x0, dtype=float).ravel()]
+    rconts = []
+    for t, h, y, y_new, k in _integrate_core(field, x0, t_span,
+                                             cfg or IntegratorConfig()):
+        times.append(t + h)
+        states.append(y_new)
+        rconts.append(_dense_coeffs(h, y, y_new, k))
+    return Trajectory(np.array(times), np.array(states).reshape((-1,) + shape),
+                      np.array(rconts).reshape((-1, 5) + shape))
 
 
 def integrate_with_events(field, x0, t_span, cfg=None, event=None):
@@ -316,14 +303,16 @@ def integrate_with_events(field, x0, t_span, cfg=None, event=None):
     ``event(x)``.
 
     Returns ``(trajectory, crossings)`` where crossings is a list of
-    ``(time, state)`` at points where the event value passes from negative
-    to non-negative, refined on the dense interpolant.
+    ``(time, state)`` from :meth:`Trajectory.crossing` on every step whose
+    event value passes from negative to non-negative.
     """
     if event is None:
         raise InvalidParam("event function required")
     if np.ndim(x0) != 1:
         raise DimensionMismatch("events need a 1-D state vector x0")
-    return _consume(field, x0, t_span, cfg or IntegratorConfig(), event)
+    traj = integrate(field, x0, t_span, cfg)
+    g = np.array([float(event(x)) for x in traj.states])
+    return traj, [traj.crossing(i, event) for i in _upward_steps(g)]
 
 
 def _final_state(field, x0, t_span, cfg):

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 
 from floqnet.limit_cycle import LimitCycle
-from floqnet.ode import IntegratorConfig, _final_state, _integrate_core, \
-    _section_crossings, integrate
+from floqnet.ode import IntegratorConfig, _dense_coeffs, _dense_eval, \
+    _final_state, _integrate_core, _refine_crossing, integrate
 
 
 def expm(m):
@@ -109,6 +109,22 @@ def dense_lf(model, lc, cfg=None):
     return r, p
 
 
+def section_crossings(steps, event):
+    """Yield the upward zero-crossings ``(time, state)`` of ``event`` along
+    a stream of 1-D integrator steps ``(t, h, y, y_new, k)``, building dense
+    coefficients only where one lies: the streamed crossing finder that
+    :meth:`floqnet.ode.Trajectory.crossing` replaced, the oracle for
+    :func:`floqnet.ode.integrate_with_events`."""
+    g_hi = None
+    for t, h, y, y_new, k in steps:
+        g_lo = float(event(y)) if g_hi is None else g_hi
+        g_hi = float(event(y_new))
+        if g_lo < 0.0 <= g_hi:
+            r = _dense_coeffs(h, y, y_new, k)
+            tc = _refine_crossing(event, r, t, h)
+            yield tc, _dense_eval(r, (tc - t) / h)
+
+
 def poincare_cycle(model, cfg=None):
     """The Poincare-return search that multiple-shooting Newton replaced,
     the oracle for :func:`floqnet.limit_cycle.find_limit_cycle`.
@@ -135,10 +151,9 @@ def poincare_cycle(model, cfg=None):
         first = states[-min(len(states), 6)]
         return np.linalg.norm(states[-1] - first) / np.linalg.norm(first)
 
-    steps = _integrate_core(model.field, scout.states[-1], (0.0, 960.0),
-                            replace(cfg, max_step=cfg.max_step or 6.0))
+    steps = _integrate_core(model.field, scout.states[-1], (0.0, 960.0), cfg)
     t_cross, states = [], []
-    for t, state in _section_crossings(steps, lambda x: x[coord] - level):
+    for t, state in section_crossings(steps, lambda x: x[coord] - level):
         t_cross.append(t)
         states.append(state)
         if len(states) >= 8 and drift(states) < 1e-6:

@@ -37,6 +37,15 @@ class TestLimitCycleCommand:
         assert data.shape == (512, 3)
         assert data[0, 0] == 0.0
 
+    @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+    def test_runs_on_every_shipped_config(self, name, tmp_path, monkeypatch):
+        # A network config's ``initial`` holds n*m states, not one
+        # oscillator's start, so the search ignores it.
+        monkeypatch.chdir(tmp_path)
+        assert run_subcommand(["limit-cycle", "--config", name]) == 0
+        summary = json.loads((tmp_path / "limit_cycle.json").read_text())
+        assert summary["closure_residual"] < 1e-6
+
     def test_bad_param_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert run_subcommand(["limit-cycle", "--model", "vdp",

@@ -5,7 +5,8 @@ import pytest
 from floqnet.exceptions import Blowup, DimensionMismatch, InvalidParam, \
     OutOfRange, StepBudgetExceeded, StepFailure
 from floqnet.ode import IntegratorConfig, _dense_eval, _final_state, \
-    integrate, integrate_with_events
+    _integrate_core, integrate, integrate_with_events
+from oracles import section_crossings
 
 
 def harmonic(x):
@@ -119,9 +120,16 @@ class TestIntegrate:
     def test_blowup_detected(self):
         # x' = x^2 from x(0)=1 blows up at t=1
         with pytest.raises(Blowup) as info:
-            integrate(lambda x: x ** 2, [1.0], (0.0, 2.0),
-                      IntegratorConfig(max_step=0.2))
+            integrate(lambda x: x ** 2, [1.0], (0.0, 2.0))
         assert info.value.t is not None and info.value.t <= 1.01
+
+    @pytest.mark.parametrize("x0", [[1.0], [[1.0]]], ids=["vector", "batch"])
+    def test_steps_capped_at_a_tenth_of_the_span(self, x0):
+        # Slow decay lets the controller grow steps far past the cap.
+        traj = integrate(lambda x: -1e-4 * x, x0, (0.0, 50.0))
+        steps = np.diff(traj.times)
+        assert steps.max() <= 5.0 * (1 + 1e-12)
+        assert steps.max() >= 5.0 * (1 - 1e-12)
 
 
 class TestBatchedRows:
@@ -280,6 +288,25 @@ class TestEvents:
         gaps = np.diff([t for t, _ in crossings])
         # reference period oracle (rel_tol 1e-12 Poincare returns)
         assert gaps[-1] == pytest.approx(6.663286859322, rel=1e-6)
+
+    def test_matches_streamed_oracle(self):
+        # Each crossing is bisected on the same dense polynomial as on the
+        # step stream; only the step length differs, times[i + 1] - times[i]
+        # against the stream's own h.
+        def section(x):
+            return x[0] - 0.3
+
+        span, cfg = (0.0, 60.0), IntegratorConfig()
+        x0 = [2.0, 0.0]
+        traj, collected = integrate_with_events(vdp_field, x0, span, cfg,
+                                                event=section)
+        streamed = list(section_crossings(
+            _integrate_core(vdp_field, x0, span, cfg), section))
+        assert len(collected) == len(streamed) >= 8
+        scale = np.abs(traj.states).max()
+        for (t_c, x_c), (t_s, x_s) in zip(collected, streamed):
+            assert abs(t_c - t_s) <= 1e-13 * max(abs(t_s), 1.0)
+            assert np.abs(x_c - x_s).max() <= 1e-13 * scale
 
     def test_requires_event(self):
         with pytest.raises(InvalidParam):
