@@ -1,16 +1,11 @@
-"""Small dense matrix operations: eigenvalues and the principal matrix
-logarithm.
+"""Small dense matrix operations for the tiny matrices of this package
+(oscillator dimension <= 10): the spectrum order and the principal
+eigen-logarithm behind the Lyapunov-Floquet factor.
 
-Everything here targets the tiny matrices this package works with
-(oscillator dimension <= 10, network size <= 20).  Eigenvalues are
-delegated to LAPACK through numpy (Hessenberg reduction plus shifted QR);
-the matrix logarithm is implemented here so its error contract and branch
-convention are explicit.
-
-Spectra are always returned in a fixed deterministic order: descending
-modulus, ties broken by descending real part, then descending imaginary
-part.  Downstream outputs (multiplier tables, CSV files) inherit this
-determinism.
+Multipliers (from :func:`floqnet.floquet._cyclic_multipliers`) come out in
+the order of :func:`sort_spectrum`: descending modulus, ties broken by
+descending real part, then descending imaginary part.  Downstream outputs
+(multiplier tables, CSV files) inherit this determinism.
 """
 from __future__ import annotations
 
@@ -19,13 +14,7 @@ import numpy as np
 from .exceptions import DimensionMismatch, InvalidParam, NonConvergence, \
     NonDiagonalizable, SingularInput
 
-__all__ = [
-    "eigenvalues",
-    "sort_spectrum",
-    "log_principal",
-]
-
-_MAX_EIG_DIM = 64
+__all__ = ["sort_spectrum"]
 
 # Condition-number threshold on the eigenvector matrix above which a
 # spectral factorization is refused instead of silently returning garbage.
@@ -49,31 +38,14 @@ def sort_spectrum(values):
     return w[order]
 
 
-def eigenvalues(m):
-    """All eigenvalues of a square matrix, with multiplicity, in the fixed
-    deterministic order of :func:`sort_spectrum`.
-
-    Complex eigenvalues of real matrices come out in conjugate pairs.
-
-    Raises
-    ------
-    NonConvergence
-        If the underlying QR iteration fails.
-    """
-    a = _as_square(m)
-    if a.shape[0] > _MAX_EIG_DIM:
-        raise DimensionMismatch(
-            f"dimension {a.shape[0]} exceeds limit {_MAX_EIG_DIM}")
-    try:
-        w = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigenvalue iteration failed: {exc}") from exc
-    return sort_spectrum(w)
-
-
 def _principal_log_eig(m):
     """``(log w, V, V^-1)`` with m = V diag(w) V^-1 and log w on the
-    principal branch; raises as :func:`log_principal` does."""
+    principal branch (imaginary parts in (-pi, pi]; a negative real
+    eigenvalue maps to log|lam| + i*pi), so L = (V * log w) @ V^-1 has
+    exp(L) = m.  Raises SingularInput for a zero eigenvalue and
+    NonDiagonalizable when the eigenvector matrix condition number exceeds
+    ``DIAGONALIZABILITY_COND_LIMIT``.
+    """
     a = _as_square(m)
     try:
         w, v = np.linalg.eig(a)
@@ -88,22 +60,3 @@ def _principal_log_eig(m):
             f"{DIAGONALIZABILITY_COND_LIMIT:.3g}"
         )
     return np.log(w.astype(complex)), v, np.linalg.inv(v)
-
-
-def log_principal(m):
-    """Principal matrix logarithm through an eigendecomposition.
-
-    Returns L with exp(L) = m and eigenvalues of L on the principal branch
-    (imaginary parts in (-pi, pi]; a negative real eigenvalue maps to
-    log|lam| + i*pi).
-
-    Raises
-    ------
-    SingularInput
-        If any eigenvalue is zero.
-    NonDiagonalizable
-        If the eigenvector matrix condition number exceeds
-        ``DIAGONALIZABILITY_COND_LIMIT``.
-    """
-    log_w, v, v_inv = _principal_log_eig(m)
-    return (v * log_w) @ v_inv

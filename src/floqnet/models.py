@@ -44,10 +44,11 @@ class OscillatorModel:
     """A named vector field f: R^m -> R^m with analytic Jacobian.
 
     ``node_field`` maps an (n, m) array of states to their (n, m) fields
-    and ``node_jacobian`` to their (n, m, m) Jacobians; left as None they
-    stack the per-state calls.  They must agree with ``field`` and
-    ``jacobian``, so a :func:`dataclasses.replace` that swaps ``field`` or
-    ``jacobian`` must swap its batch form as well.
+    and ``node_jacobian`` to their (n, m, m) Jacobians; every model
+    supplies both, since the variational passes and the cycle search run
+    on them.  They must agree with ``field`` and ``jacobian``, so a
+    :func:`dataclasses.replace` that swaps ``field`` or ``jacobian`` must
+    swap its batch form as well.
     """
 
     name: str
@@ -56,9 +57,9 @@ class OscillatorModel:
     field: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
     default_initial: np.ndarray
+    node_field: Callable[[np.ndarray], np.ndarray]
+    node_jacobian: Callable[[np.ndarray], np.ndarray]
     transient_hint: float = 50.0
-    node_field: Callable[[np.ndarray], np.ndarray] | None = None
-    node_jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         x0 = np.asarray(self.default_initial, dtype=float)
@@ -67,18 +68,6 @@ class OscillatorModel:
                 f"default_initial must have shape ({self.dim},), got {x0.shape}"
             )
         object.__setattr__(self, "default_initial", x0)
-        if self.node_field is None:
-            object.__setattr__(self, "node_field", _stacked(self.field))
-        if self.node_jacobian is None:
-            object.__setattr__(self, "node_jacobian",
-                               _stacked(self.jacobian))
-
-
-def _stacked(fn):
-    """``fn`` applied to each row of an (n, m) array, stacked."""
-    def batch(xs):
-        return np.array([fn(x) for x in xs])
-    return batch
 
 
 def vdp_model(mu: float = 1.0) -> OscillatorModel:

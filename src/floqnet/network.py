@@ -55,19 +55,21 @@ class GraphSpec:
 
 @dataclass(frozen=True)
 class CouplingSpec:
-    """Finite coupling gain K, 0/1 diagonal coupling mask, and the time at
-    which coupling switches on (zero gain before, K after)."""
+    """Finite coupling gain K, 0/1 diagonal coupling mask (None couples
+    every state), and the time at which coupling switches on (zero gain
+    before, K after)."""
 
     K: float
-    mask: np.ndarray
+    mask: np.ndarray | None
     activation_time: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.activation_time < math.inf:
             raise InvalidParam("activation_time must be finite and >= 0, "
                                f"got {self.activation_time}")
-        object.__setattr__(self, "mask",
-                           _resolve_mask(self.mask, np.size(self.mask)))
+        if self.mask is not None:
+            object.__setattr__(self, "mask",
+                               _resolve_mask(self.mask, np.size(self.mask)))
         object.__setattr__(self, "K", float(self.K))
         if not np.isfinite(self.K):
             raise InvalidParam(f"coupling gain K must be finite, got {self.K}")

@@ -136,8 +136,9 @@ def _rms(v):
     return math.sqrt(np.maximum.reduce(rows, axis=None) / v.shape[-1])
 
 
-def _initial_step(field, x0, f0, span, max_step, rel_tol, abs_tol):
-    """Heuristic first step (Hairer's hinit, simplified)."""
+def _initial_step(field, x0, f0, span, rel_tol, abs_tol):
+    """Heuristic first step (Hairer's hinit, simplified); the step loop
+    caps it at a tenth of the span, as it does every step."""
     scale = abs_tol + rel_tol * np.abs(x0)
     d0 = _rms(x0 / scale)
     d1 = _rms(f0 / scale)
@@ -152,7 +153,7 @@ def _initial_step(field, x0, f0, span, max_step, rel_tol, abs_tol):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, max_step)
+    return min(100 * h0, h1)
 
 
 def _integrate_core(field, x0, t_span, cfg):
@@ -186,8 +187,8 @@ def _integrate_core(field, x0, t_span, cfg):
     # Before the first-step heuristic, which divides by a zero trial step.
     if not np.all(np.isfinite(k[0])):
         raise StepFailure(f"non-finite derivative at t={t0:.6g}")
-    h = _initial_step(field, y0, k[0].reshape(shape), span, max_step,
-                      rel_tol, abs_tol)
+    h = _initial_step(field, y0, k[0].reshape(shape), span, rel_tol,
+                      abs_tol)
 
     t = t0
     n_steps = 0

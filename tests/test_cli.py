@@ -302,6 +302,18 @@ class TestConfigs:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda p: p.mkdir(), "cannot read config"),
+        (lambda p: p.write_bytes(b'{"seed": "\xff"}'), "cannot read config"),
+        (lambda p: p.write_text("[1, 2]"), "config must be a JSON object"),
+    ], ids=["directory", "not-utf8", "top-level-array"])
+    def test_unreadable_config_exits_2(self, make, message, tmp_path,
+                                       monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        make(tmp_path / "c.json")
+        assert run_subcommand(["simulate", "--config", "c.json"]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_unknown_model_name_exits_2(self, tmp_path, monkeypatch,
@@ -328,6 +340,22 @@ class TestVerifyCommand:
         (tmp_path / "c.json").write_text(json.dumps({"seed": 3}))
         run_subcommand(["verify", "--quick", "--config", "c.json"] + flags)
         assert seen == [seed]
+
+    @pytest.mark.parametrize("flags,config", [
+        (["--seed", "-1"], {}), ([], {"seed": -2})], ids=["flag", "config"])
+    def test_negative_seed_exits_2_before_any_check(
+            self, flags, config, tmp_path, monkeypatch, capsys):
+        def no_check(seed):
+            raise AssertionError("a check ran with a negative seed")
+
+        monkeypatch.setattr(checks, "eig_det_product_error", no_check)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        rc = run_subcommand(["verify", "--quick", "--config", "c.json"]
+                            + flags)
+        assert rc == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
 
     def test_no_tolerance_flags(self):
         with pytest.raises(SystemExit):

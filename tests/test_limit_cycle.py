@@ -163,15 +163,19 @@ class TestStreamedSearch:
 class TestFailureModes:
     def test_fixed_point_convergence(self):
         # damped rotation spirals onto the origin
+        a = np.array([[-0.5, 1.0], [-1.0, -0.5]])
+
         def field(x):
             return np.array([x[1] - 0.5 * x[0], -x[0] - 0.5 * x[1]])
 
         def jac(x):
-            return np.array([[-0.5, 1.0], [-1.0, -0.5]])
+            return a.copy()
 
         damped = OscillatorModel(
             name="damped", dim=2, params={}, field=field, jacobian=jac,
             default_initial=np.array([1.0, 0.0]), transient_hint=60.0,
+            node_field=lambda xs: xs @ a.T,
+            node_jacobian=lambda xs: np.repeat(a[None], len(xs), axis=0),
         )
         with pytest.raises(FixedPointConvergence):
             find_limit_cycle(damped)
@@ -183,6 +187,8 @@ class TestFailureModes:
             field=lambda x: np.array([-1.0, 0.0]),
             jacobian=lambda x: np.zeros((2, 2)),
             default_initial=np.array([0.0, 0.0]), transient_hint=0.0,
+            node_field=lambda xs: np.tile([-1.0, 0.0], (len(xs), 1)),
+            node_jacobian=lambda xs: np.zeros((len(xs), 2, 2)),
         )
         with pytest.raises(NoCrossings):
             find_limit_cycle(drift)
@@ -194,6 +200,8 @@ class TestFailureModes:
             field=lambda x: np.array([1.0, 0.0]),
             jacobian=lambda x: np.zeros((2, 2)),
             default_initial=np.array([0.0, 0.0]), transient_hint=0.0,
+            node_field=lambda xs: np.tile([1.0, 0.0], (len(xs), 1)),
+            node_jacobian=lambda xs: np.zeros((len(xs), 2, 2)),
         )
         with pytest.raises(NotPeriodic):
             find_limit_cycle(drift)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from floqnet.exceptions import InvalidParam
-from floqnet.models import OscillatorModel, get_model, \
-    linear_rotation_model, repressilator_model, vdp_model
+from floqnet.models import get_model, linear_rotation_model, \
+    repressilator_model, vdp_model
 from floqnet.ode import integrate
 
 
@@ -266,19 +266,6 @@ class TestNodeBatches:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             model.node_field(np.full((4, 6), 2.0))
-
-    def test_user_model_stacks_scalar_calls(self):
-        model = OscillatorModel(
-            name="shear", dim=2, params={},
-            field=lambda x: np.array([x[1] ** 2, -x[0]]),
-            jacobian=lambda x: np.array([[0.0, 2.0 * x[1]], [-1.0, 0.0]]),
-            default_initial=np.array([1.0, 0.0]),
-        )
-        xs = np.array([[1.0, 2.0], [3.0, -4.0], [0.5, 0.25]])
-        assert np.array_equal(model.node_field(xs),
-                              [[4.0, -1.0], [16.0, -3.0], [0.0625, -0.5]])
-        assert np.array_equal(model.node_jacobian(xs)[1],
-                              [[0.0, -8.0], [-1.0, 0.0]])
 
 
 class TestRegistry:

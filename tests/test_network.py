@@ -194,6 +194,14 @@ class TestSimulation:
         for node in range(3):
             assert np.abs(nodes[:, node] - reference).max() < 1e-6
 
+    def test_no_mask_couples_every_state(self, vdp, fig2_initial):
+        runs = [simulate_network(
+                    vdp, complete_graph(3),
+                    CouplingSpec(K=1.0, mask=mask, activation_time=5.0),
+                    fig2_initial, 20.0, output_points=50)
+                for mask in (None, np.ones(2))]
+        assert np.array_equal(runs[0].states, runs[1].states)
+
     @pytest.mark.parametrize("points", [0, -3])
     def test_output_points_below_one_rejected_before_integrating(
             self, vdp, fig2_initial, monkeypatch, points):
