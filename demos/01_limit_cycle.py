@@ -1,6 +1,6 @@
 """Finding limit cycles and periods.
 
-Each registered oscillator is integrated past its transient, a Poincare
+Each registered oscillator is scouted for 20 time units, a Poincare
 section is placed through the coordinate with the largest swing, and two
 section crossings give a first guess of the period and of 16 segment
 starts along one period.  Multiple-shooting Newton then solves for the

@@ -186,11 +186,6 @@ def _graph_from(config):
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _fmt(x) -> str:
-    # 17 significant digits round-trip any double; plain '.' decimal.
-    return format(float(x), ".17g")
-
-
 def _write_atomic(path, text):
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -206,9 +201,12 @@ def _write_atomic(path, text):
 
 
 def _write_csv(path, header, table):
+    # 17 significant digits round-trip any double; plain '.' decimal.
+    # One %-format per row, each row's Python floats made as it is
+    # written, so no second copy of the whole table is held.
+    row = ",".join(["%.17g"] * table.shape[1])
     lines = [",".join(header)]
-    for row in table:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [row % tuple(values.tolist()) for values in table]
     _write_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -1,17 +1,21 @@
 """Locate the attracting periodic orbit of an oscillator and package it as
 a reusable sampled cycle.
 
-Strategy: settle past the transient, scout one window to pick a Poincare
-section through the coordinate with the largest swing (robust when some
-states barely move, e.g. repressilator mRNAs), and seed the period and 16
-segment starts from the last two upward section crossings, located on
-the scout's stored steps by :meth:`floqnet.ode.Trajectory.crossing` (a
-cycle slower than the window runs on in legs of the window's length
-until two are in).  Multiple-
-shooting Newton then solves for the starts x_s and the period T: the
-residuals are the gaps phi_{T/16}(x_s) - x_{s+1}, taken cyclically, and
-the phase condition that x_0 lies on the section.  One dense batch pass
-of the converged segments over T/16 gives 512 uniform-phase samples.
+Strategy: scout 20 time units from the initial state, with no separate
+settle leg, to pick a Poincare section (:func:`_section`) through the
+coordinate with the largest swing (robust when some states barely move,
+e.g. repressilator mRNAs), and seed the period and 16 segment starts
+from the last two upward section crossings, located on the scout's
+stored steps by :meth:`floqnet.ode.Trajectory.crossing` (a cycle slower
+than the scout runs on in legs of the same length until two are in).
+Multiple-shooting Newton then solves for the starts x_s and the period
+T: the residuals are the gaps phi_{T/16}(x_s) - x_{s+1}, taken
+cyclically, and the phase condition that x_0 lies on the section.  Its
+basin is wide enough that the scout's transient does not need to have
+died out.  Full Newton steps run at the configured tolerances; once the
+step is small, chord steps at 1/100 of them integrate only the segment
+states and keep the last segment factors.  One dense batch pass of the
+converged segments over T/16 gives 512 uniform-phase samples.
 
 :func:`_shoot_segments` is the one place the augmented state +
 variational system is integrated, for this search and for every pass of
@@ -41,14 +45,16 @@ _SEGMENTS = 16
 # Swing below which the motion, or the Newton iterate, is a fixed point.
 _MIN_AMPLITUDE = 1e-6
 
-_SCOUT_WINDOW = 60.0
-# End of the search for two section crossings: the scout window, then up
-# to 16 legs of its length, so the span/10 step cap is 6 time units.
-_SEARCH_END = 17 * _SCOUT_WINDOW
+# Length of the scout and of every crossing-search leg after it, so the
+# span/10 step cap is 2 time units.  The search for two section crossings
+# ends at time 1020: the scout, then up to 50 legs.
+_SCOUT_WINDOW = 20.0
+_SEARCH_END = 1020.0
 
 _NEWTON_ITERATIONS = 12
-# Relative Newton step below which the tolerances tighten to 1/100, and
-# below which, at the tight tolerances, the iteration stops.
+# Relative Newton step below which full steps give way to chord steps at
+# 1/100 of the tolerances, and below which a chord step ends the
+# iteration.
 _STEP_TOL = 1e-6
 # Singular values of the Newton matrix cut relative to the largest: a
 # family of cycles (linear_rotation's circles) makes the matrix singular
@@ -104,11 +110,29 @@ def _shoot_segments(model, starts, span, kappas, mask, cfg):
                         cfg).reshape(z0.shape)
 
 
+def _check_swing(swing, what):
+    if swing < _MIN_AMPLITUDE:
+        raise FixedPointConvergence(
+            f"{what} swings {swing:.3g} < 1e-6; trajectory has collapsed "
+            "onto a fixed point")
+
+
+def _section(scout):
+    """Coordinate and level of the Poincare section: the coordinate that
+    swings most over 1025 uniform points of the scout's dense output, and
+    its mean over them."""
+    xs = scout.eval(np.linspace(scout.times[0], scout.times[-1], 1025))
+    amplitude = np.ptp(xs, axis=0)
+    _check_swing(amplitude.max(), "scout")
+    coord = int(np.argmax(amplitude))
+    return coord, float(xs[:, coord].mean())
+
+
 def _first_guess(f, scout, coord, level, relaxed):
     """Period and segment starts from the last two upward crossings of the
-    section on the scout, or for a cycle slower than the scout window the
-    first two on it and on relaxed legs of the window's length run on from
-    its end.  Each crossing is refined on its step's dense polynomial."""
+    section on the scout, or for a cycle slower than the scout the first
+    two on it and on relaxed legs of the scout's length run on from its
+    end.  Each crossing is refined on its step's dense polynomial."""
     def section(x):
         return x[coord] - level
 
@@ -120,6 +144,7 @@ def _first_guess(f, scout, coord, level, relaxed):
     while len(found) < 2 and leg.times[-1] < _SEARCH_END:
         t = leg.times[-1]
         leg = integrate(f, leg.states[-1], (t, t + _SCOUT_WINDOW), relaxed)
+        _check_swing(np.ptp(leg.states, axis=0).max(), "search leg")
         found += [leg.crossing(i, section) for i in upward(leg)]
     if not found:
         raise NoCrossings(
@@ -140,21 +165,27 @@ def _newton(model, x, period, coord, level, cfg, tight):
     The Jacobian of the gaps and the phase condition is cyclic
     block-bidiagonal: A_s = D phi_{T/p}(x_s), from the same batch as the
     gaps, on the diagonal, -I beside it, and f(phi_{T/p}(x_s))/p in the
-    T column.  Iterations run at ``cfg`` until the step is small, then at
-    ``tight`` until it is small again.
+    T column.  Full steps run at ``cfg`` until the step is small.  Chord
+    steps then run at ``tight`` until it is small again: they integrate
+    only the segment states and keep the A_s of the last full step,
+    refreshing the gaps and the T column.
     """
     p, m = x.shape
     n, idx = p * m, np.arange(p)
     jac = np.zeros((n + 1, n + 1))
     jac[n, coord] = 1.0
-    tol = cfg
+    chord = False
     for _ in range(_NEWTON_ITERATIONS):
-        z = _shoot_segments(model, x, period / p, [0.0], np.zeros(m), tol)[0]
-        ends = z[:, :m]
-        blocks = np.zeros((p, m, p, m))
-        blocks[idx, :, idx, :] = z[:, m:].reshape(p, m, m)
-        blocks[idx, :, (idx + 1) % p, :] = -np.eye(m)
-        jac[:n, :n] = blocks.reshape(n, n)
+        if chord:
+            ends = _final_state(model.node_field, x, (0.0, period / p), tight)
+        else:
+            z = _shoot_segments(model, x, period / p, [0.0], np.zeros(m),
+                                cfg)[0]
+            ends = z[:, :m]
+            blocks = np.zeros((p, m, p, m))
+            blocks[idx, :, idx, :] = z[:, m:].reshape(p, m, m)
+            blocks[idx, :, (idx + 1) % p, :] = -np.eye(m)
+            jac[:n, :n] = blocks.reshape(n, n)
         jac[:n, n] = model.node_field(ends).ravel() / p
         residual = np.append(ends - np.roll(x, -1, axis=0),
                              x[0, coord] - level)
@@ -168,9 +199,9 @@ def _newton(model, x, period, coord, level, cfg, tight):
             raise NotPeriodic(f"shooting Newton reached period {period:.3g}")
         if (np.linalg.norm(step[:n]) <= _STEP_TOL * np.linalg.norm(x)
                 and abs(step[n]) <= _STEP_TOL * period):
-            if tol is tight:
+            if chord:
                 return x, float(period)
-            tol = tight
+            chord = True
     raise NotPeriodic(
         f"shooting Newton did not converge in {_NEWTON_ITERATIONS} "
         "iterations")
@@ -190,8 +221,8 @@ def find_limit_cycle(model: OscillatorModel, x0=None,
     DimensionMismatch
         ``x0`` is not a state vector of the model's dimension.
     FixedPointConvergence
-        Post-transient oscillation amplitude, or the swing of the Newton
-        iterate's segment starts, below 1e-6.
+        The swing of the scout, of a crossing-search leg, or of the Newton
+        iterate's segment starts below 1e-6.
     NoCrossings
         The section was never crossed upward within the search budget.
     NotPeriodic
@@ -200,7 +231,7 @@ def find_limit_cycle(model: OscillatorModel, x0=None,
     """
     cfg = cfg or IntegratorConfig()
     f = model.field
-    # Transient legs only need to land near the attractor.
+    # The scout and search legs only need to seed Newton.
     relaxed = IntegratorConfig(rel_tol=max(cfg.rel_tol, 1e-7),
                                abs_tol=max(cfg.abs_tol, 1e-9),
                                max_steps=cfg.max_steps)
@@ -210,21 +241,9 @@ def find_limit_cycle(model: OscillatorModel, x0=None,
     if x.shape != (model.dim,):
         raise DimensionMismatch(
             f"x0 must have shape ({model.dim},), got {x.shape}")
-    if model.transient_hint > 0:
-        x = _final_state(f, x, (0.0, model.transient_hint), relaxed)
 
-    # Scout pass: choose the section coordinate and level.
     scout = integrate(f, x, (0.0, _SCOUT_WINDOW), relaxed)
-    xs = scout.eval(np.linspace(0.0, _SCOUT_WINDOW, 1025))
-    amplitude = xs.max(axis=0) - xs.min(axis=0)
-    if amplitude.max() < _MIN_AMPLITUDE:
-        raise FixedPointConvergence(
-            f"post-transient amplitude {amplitude.max():.3g} < 1e-6; "
-            "trajectory has collapsed onto a fixed point"
-        )
-    coord = int(np.argmax(amplitude))
-    level = float(xs[:, coord].mean())
-
+    coord, level = _section(scout)
     starts, period = _first_guess(f, scout, coord, level, relaxed)
     starts, period = _newton(model, starts, period, coord, level, cfg, tight)
 

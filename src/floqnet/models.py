@@ -2,9 +2,8 @@
 
 Each model bundles a named autonomous vector field with its analytic
 Jacobian, both also as batches over the rows of an (n, m) array, default
-parameters, a sensible initial condition, and a hint for how long the
-transient onto the attractor takes.  Models are immutable and safe to
-share between threads.
+parameters and a sensible initial condition.  Models are immutable and
+safe to share between threads.
 
 Registered models:
 
@@ -59,7 +58,6 @@ class OscillatorModel:
     default_initial: np.ndarray
     node_field: Callable[[np.ndarray], np.ndarray]
     node_jacobian: Callable[[np.ndarray], np.ndarray]
-    transient_hint: float = 50.0
 
     def __post_init__(self):
         x0 = np.asarray(self.default_initial, dtype=float)
@@ -104,7 +102,7 @@ def vdp_model(mu: float = 1.0) -> OscillatorModel:
 
     return OscillatorModel(
         name="vdp", dim=2, params={"mu": mu}, field=f, jacobian=jac,
-        default_initial=np.array([2.0, 0.0]), transient_hint=50.0,
+        default_initial=np.array([2.0, 0.0]),
         node_field=node_f, node_jacobian=node_jac,
     )
 
@@ -215,7 +213,7 @@ def repressilator_model(alpha: float = 1000.0, alpha0: float = 1.0,
         params={"alpha": alpha, "alpha0": alpha0, "beta": beta, "n": n},
         field=f, jacobian=jac,
         default_initial=np.array([0.0, 1.0, 0.0, 3.0, 0.0, 5.0]),
-        transient_hint=30.0, node_field=node_f, node_jacobian=node_jac,
+        node_field=node_f, node_jacobian=node_jac,
     )
 
 
@@ -242,7 +240,7 @@ def linear_rotation_model() -> OscillatorModel:
 
     return OscillatorModel(
         name="linear_rotation", dim=2, params={}, field=f, jacobian=jac,
-        default_initial=np.array([1.0, 0.0]), transient_hint=0.0,
+        default_initial=np.array([1.0, 0.0]),
         node_field=node_f, node_jacobian=node_jac,
     )
 

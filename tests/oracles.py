@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from floqnet.limit_cycle import LimitCycle
+from floqnet.limit_cycle import LimitCycle, _section
 from floqnet.ode import IntegratorConfig, _dense_coeffs, _dense_eval, \
     _final_state, _integrate_core, _refine_crossing, integrate
 
@@ -129,23 +129,22 @@ def poincare_cycle(model, cfg=None):
     """The Poincare-return search that multiple-shooting Newton replaced,
     the oracle for :func:`floqnet.limit_cycle.find_limit_cycle`.
 
-    The same settle and scout legs choose the same section; then upward
-    section returns stream at full accuracy, for at most 960 time units,
-    until at least 8 are in and the last of the final six is within 1e-6
-    (relative) of the first.  The period is the mean of the last five
-    return gaps; the samples come from one integration over a period from
-    the last return at 1/100 of the tolerances.
+    The same 20-unit scout from the initial state chooses the same
+    section, by the search's own :func:`floqnet.limit_cycle._section`;
+    then upward section returns stream at full accuracy, for at most 960
+    time units, until at least 8 are in and the last of the final six is
+    within 1e-9 (relative) of the first.  (With no settle before the
+    scout, a 1e-6 stop leaves the repressilator's mean return gap ~5e-8
+    off the period.)  The period is the mean of the last five return
+    gaps; the samples come from one integration over a period from the
+    last return at 1/100 of the tolerances.
     """
     cfg = cfg or IntegratorConfig()
     relaxed = IntegratorConfig(rel_tol=max(cfg.rel_tol, 1e-7),
                                abs_tol=max(cfg.abs_tol, 1e-9))
-    x = model.default_initial
-    if model.transient_hint > 0:
-        x = _final_state(model.field, x, (0.0, model.transient_hint), relaxed)
-    scout = integrate(model.field, x, (0.0, 60.0), relaxed)
-    xs = scout.eval(np.linspace(0.0, 60.0, 1025))
-    coord = int(np.argmax(xs.max(axis=0) - xs.min(axis=0)))
-    level = float(xs[:, coord].mean())
+    scout = integrate(model.field, model.default_initial, (0.0, 20.0),
+                      relaxed)
+    coord, level = _section(scout)
 
     def drift(states):
         first = states[-min(len(states), 6)]
@@ -156,9 +155,9 @@ def poincare_cycle(model, cfg=None):
     for t, state in section_crossings(steps, lambda x: x[coord] - level):
         t_cross.append(t)
         states.append(state)
-        if len(states) >= 8 and drift(states) < 1e-6:
+        if len(states) >= 8 and drift(states) < 1e-9:
             break
-    assert len(states) >= 8 and drift(states) < 1e-6, "returns did not agree"
+    assert len(states) >= 8 and drift(states) < 1e-9, "returns did not agree"
     period = float(np.mean(np.diff(t_cross[-6:])))
     closing = replace(cfg, rel_tol=cfg.rel_tol / 100,
                       abs_tol=cfg.abs_tol / 100)

@@ -200,6 +200,18 @@ class TestMsfCommand:
         assert run_subcommand(["msf", "--config", str(cfg)]) == 2
 
 
+def test_csv_rows_match_per_value_format(tmp_path):
+    # The row-at-a-time writer against formatting every value on its own.
+    values = [-0.0, 5e-324, 1e308, np.nan, np.inf, -np.inf, 0.1, -1 / 3]
+    table = np.array([values, values[::-1]])
+    path = tmp_path / "table.csv"
+    cli._write_csv(str(path), [f"c{j}" for j in range(len(values))], table)
+    expected = ",".join(f"c{j}" for j in range(len(values))) + "\n" + "".join(
+        ",".join(format(float(v), ".17g") for v in row) + "\n"
+        for row in table)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 class TestSimulateCommand:
     def test_shipped_fig2_config_converges(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

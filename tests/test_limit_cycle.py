@@ -11,7 +11,7 @@ from floqnet.exceptions import DimensionMismatch, FixedPointConvergence, \
 from floqnet.limit_cycle import find_limit_cycle
 from floqnet.models import OscillatorModel, linear_rotation_model, \
     repressilator_model, vdp_model
-from floqnet.ode import integrate
+from floqnet.ode import IntegratorConfig, integrate
 from oracles import poincare_cycle
 
 # Reference oracle values (rel_tol 1e-12 integration, 5 averaged Poincare
@@ -44,7 +44,7 @@ def _linear_model(name, a, center, x0):
         field=lambda x: a @ (x - center), jacobian=lambda x: a.copy(),
         node_field=lambda xs: (xs - center) @ a.T,
         node_jacobian=lambda xs: np.repeat(a[None], len(xs), axis=0),
-        default_initial=x0, transient_hint=0.0,
+        default_initial=x0,
     )
 
 
@@ -97,10 +97,24 @@ class TestPeriodAccuracy:
         ref = PERIOD_REFS[name, param]
         assert abs(lc.period - ref) / ref < 1e-9
 
+    @pytest.mark.parametrize("name, param", [
+        ("vdp", 0.5), ("vdp", 1.0), ("vdp", 2.0), ("vdp", 5.0),
+        ("repressilator", 500.0), ("repressilator", 1000.0),
+        ("repressilator", 2000.0)])
+    def test_period_against_tight_search(self, name, param):
+        # The chord steps and the search without a settle leg against the
+        # same search at rel_tol 1e-12: measured at most 2.0e-12 (vdp
+        # mu = 5), elsewhere at most 1.4e-13.
+        model = _build(name, param)
+        ref = find_limit_cycle(
+            model, cfg=IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14))
+        lc = find_limit_cycle(model)
+        assert abs(lc.period - ref.period) / ref.period <= 1e-11
+
     @pytest.mark.parametrize("period", [100.0, 300.0, 600.0])
     def test_slow_cycle_longer_than_scout_window(self, period):
-        # Periods past the 60-unit scout window: the search runs on in
-        # 60-unit legs for the two crossings that seed the period.
+        # Periods past the 20-unit scout: the search runs on in 20-unit
+        # legs for the two crossings that seed the period.
         # The model contract: swapping the field swaps its batch forms.
         omega = 2 * np.pi / period
         base = linear_rotation_model()
@@ -110,7 +124,6 @@ class TestPeriodAccuracy:
             jacobian=lambda x: omega * base.jacobian(x),
             node_field=lambda xs: omega * base.node_field(xs),
             node_jacobian=lambda xs: omega * base.node_jacobian(xs),
-            transient_hint=0.0,
         )
         lc = find_limit_cycle(slow)
         assert abs(lc.period - period) < 1e-8
@@ -119,10 +132,11 @@ class TestPeriodAccuracy:
 
 class TestAgainstPoincareOracle:
     """Multiple-shooting Newton against the Poincare-return search it
-    replaced (the ``poincare_cycle`` oracle), which picks the same
-    section.  The worst sample gap measured is 3.0e-7 of the sample scale,
-    at vdp mu = 0.02, whose weakly contracting returns leave the oracle's
-    own anchor about that far off; elsewhere it is at most 1.7e-9."""
+    replaced (the ``poincare_cycle`` oracle), on the same section, chosen
+    by the same helper from the same scout.  The worst sample gap measured
+    is 7.2e-9 of the sample scale, at vdp mu = 0.02, whose weakly
+    contracting returns leave the oracle's own anchor about that far off;
+    elsewhere it is at most 1.9e-9."""
 
     @pytest.mark.parametrize("name, param", [
         ("vdp", 0.02), ("vdp", 0.5), ("vdp", 1.0), ("vdp", 2.0),
@@ -142,10 +156,11 @@ class TestStreamedSearch:
         ("vdp", 2.0), ("repressilator", 1000.0)])
     def test_field_call_budget(self, name, param):
         # Machine-independent work count, batch forms included, since the
-        # Newton passes call only them: 17 746 (vdp) and 12 088
-        # (repressilator) calls, against 34 970 and 28 652 for the
-        # Poincare-return search and 67 876 and 83 430 for re-integrating
-        # its returns.
+        # Newton passes call only them: 4 938 (vdp) and 6 003
+        # (repressilator) calls, against 17 746 and 12 088 with a settle
+        # leg, a 60-unit scout and full Newton steps at the tight
+        # tolerances, 34 970 and 28 652 for the Poincare-return search and
+        # 67 876 and 83 430 for re-integrating its returns.
         model, calls = _build(name, param), [0]
 
         def counted(fn):
@@ -157,7 +172,7 @@ class TestStreamedSearch:
             model, field=counted(model.field),
             node_field=counted(model.node_field),
             node_jacobian=counted(model.node_jacobian)))
-        assert calls[0] <= 40_000
+        assert calls[0] <= 8_000
 
 
 class TestFailureModes:
@@ -173,7 +188,7 @@ class TestFailureModes:
 
         damped = OscillatorModel(
             name="damped", dim=2, params={}, field=field, jacobian=jac,
-            default_initial=np.array([1.0, 0.0]), transient_hint=60.0,
+            default_initial=np.array([1.0, 0.0]),
             node_field=lambda xs: xs @ a.T,
             node_jacobian=lambda xs: np.repeat(a[None], len(xs), axis=0),
         )
@@ -186,7 +201,7 @@ class TestFailureModes:
             name="drift", dim=2, params={},
             field=lambda x: np.array([-1.0, 0.0]),
             jacobian=lambda x: np.zeros((2, 2)),
-            default_initial=np.array([0.0, 0.0]), transient_hint=0.0,
+            default_initial=np.array([0.0, 0.0]),
             node_field=lambda xs: np.tile([-1.0, 0.0], (len(xs), 1)),
             node_jacobian=lambda xs: np.zeros((len(xs), 2, 2)),
         )
@@ -199,7 +214,7 @@ class TestFailureModes:
             name="drift_up", dim=2, params={},
             field=lambda x: np.array([1.0, 0.0]),
             jacobian=lambda x: np.zeros((2, 2)),
-            default_initial=np.array([0.0, 0.0]), transient_hint=0.0,
+            default_initial=np.array([0.0, 0.0]),
             node_field=lambda xs: np.tile([1.0, 0.0], (len(xs), 1)),
             node_jacobian=lambda xs: np.zeros((len(xs), 2, 2)),
         )
@@ -220,7 +235,7 @@ class TestFailureModes:
         # iteration lands on it.  Without the collapse check it returns a
         # zero-amplitude cycle with a closure residual of 0.
         a = np.array([[0.01, 2.0], [-0.5, 0.01]])
-        t = np.linspace(0.0, 60.0, 1025)
+        t = np.linspace(0.0, 20.0, 1025)
         # x1 = 2 exp(0.01 t) cos(t + phi); phi zeroes its scout mean.
         phi = np.pi / 2 - np.angle(np.sum(np.exp((0.01 + 1j) * t)))
         center = np.array([0.0, 3.0])
