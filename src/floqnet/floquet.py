@@ -256,10 +256,14 @@ def ajl_determinant(model: OscillatorModel, lc: LimitCycle,
     mask_v = _resolve_mask(mask, model.dim)
     factors = variational_factors(model, lc, [kappa], mask_v, cfg)[0]
     det_phi = float(np.prod(np.linalg.det(factors)))
+    return det_phi, _trace_side(model, lc, kappa, mask_v)
+
+
+def _trace_side(model, lc, kappa, mask):
+    """The right side of :func:`ajl_determinant`; ``mask`` is resolved."""
     traces = np.trace(model.node_jacobian(lc.samples), axis1=1, axis2=2)
-    rhs = float(np.exp(traces.mean() * lc.period)
-                * np.exp(-float(kappa) * mask_v.sum() * lc.period))
-    return det_phi, rhs
+    return float(np.exp(traces.mean() * lc.period)
+                 * np.exp(-float(kappa) * mask.sum() * lc.period))
 
 
 def _inv_or_pinv(a):

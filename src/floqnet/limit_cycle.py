@@ -45,9 +45,9 @@ _SEGMENTS = 16
 # Swing below which the motion, or the Newton iterate, is a fixed point.
 _MIN_AMPLITUDE = 1e-6
 
-# Length of the scout and of every crossing-search leg after it, so the
-# span/10 step cap is 2 time units.  The search for two section crossings
-# ends at time 1020: the scout, then up to 50 legs.
+# Length of the scout, whose mean sets the section level, and of every
+# crossing-search leg after it.  The search for two section crossings ends
+# at time 1020: the scout, then up to 50 legs.
 _SCOUT_WINDOW = 20.0
 _SEARCH_END = 1020.0
 

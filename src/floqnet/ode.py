@@ -2,7 +2,8 @@
 
 A single, hard-validated integrator: the Dormand-Prince 5(4) embedded pair
 with its free 4th-order continuous extension, FSAL, and a PI-free standard
-step controller.  No step is longer than a tenth of the span.
+step controller.  The controller alone sizes each step; only the last is
+cut short to end on the span's end.
 
 Upward zero-crossings of an event function are located on a stored
 :class:`Trajectory`: a sign change between two nodes marks the step, and
@@ -63,10 +64,7 @@ _SAFETY = 0.9
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and the step budget of one adaptive integration.
-
-    No step is longer than one tenth of the span.
-    """
+    """Tolerances and the step budget of one adaptive integration."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-11
@@ -137,8 +135,7 @@ def _rms(v):
 
 
 def _initial_step(field, x0, f0, span, rel_tol, abs_tol):
-    """Heuristic first step (Hairer's hinit, simplified); the step loop
-    caps it at a tenth of the span, as it does every step."""
+    """Heuristic first step (Hairer's hinit, simplified)."""
     scale = abs_tol + rel_tol * np.abs(x0)
     d0 = _rms(x0 / scale)
     d1 = _rms(f0 / scale)
@@ -174,8 +171,6 @@ def _integrate_core(field, x0, t_span, cfg):
     if not np.all(np.isfinite(y0)):
         raise InvalidParam("x0 has non-finite entries")
     shape = y0.shape
-    span = t1 - t0
-    max_step = span / 10.0
     rel_tol, abs_tol = cfg.rel_tol, cfg.abs_tol
 
     # The loop runs on flat states; a batch field sees its (B, d) shape.
@@ -187,7 +182,7 @@ def _integrate_core(field, x0, t_span, cfg):
     # Before the first-step heuristic, which divides by a zero trial step.
     if not np.all(np.isfinite(k[0])):
         raise StepFailure(f"non-finite derivative at t={t0:.6g}")
-    h = _initial_step(field, y0, k[0].reshape(shape), span, rel_tol,
+    h = _initial_step(field, y0, k[0].reshape(shape), t1 - t0, rel_tol,
                       abs_tol)
 
     t = t0
@@ -201,7 +196,7 @@ def _integrate_core(field, x0, t_span, cfg):
             raise StepBudgetExceeded(
                 f"exceeded {cfg.max_steps} steps at t={t:.6g}"
             )
-        h = min(h, max_step, t1 - t)
+        h = min(h, t1 - t)
         # A NaN step fails here too; halved, it would run out the budget.
         if not h > 16 * _EPS * max(abs(t), 1.0):
             raise StepFailure(f"step size underflow at t={t:.6g} (h={h:.3g})")

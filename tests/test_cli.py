@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from floqnet import checks, cli, network
+from floqnet import checks, cli, floquet, network
 from floqnet.cli import load_config, run_subcommand
 from floqnet.exceptions import ConfigError, FixedPointConvergence
 from floqnet.floquet import monodromy
@@ -162,6 +162,26 @@ class TestFloquetCommand:
                 abs(complex(entry["re"], entry["im"])))
         det = result["det_check"]
         assert det["lhs"] == pytest.approx(det["rhs"], rel=1e-6)
+
+    def test_one_variational_pass(self, tmp_path, monkeypatch, vdp,
+                                  vdp_cycle):
+        # The determinant identity's left side comes from the monodromy's
+        # pass: both sides must equal what ajl_determinant computes.
+        calls = [0]
+        shoot = floquet._shoot_segments
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return shoot(*args, **kwargs)
+        monkeypatch.setattr(floquet, "_shoot_segments", counted)
+        monkeypatch.chdir(tmp_path)
+        assert run_subcommand(["floquet", "--model", "vdp", "--kappa", "1.0",
+                               "--mask", "0,1", "--out", "out"]) == 0
+        assert calls[0] == 1
+        det = json.loads((tmp_path / "out.json").read_text())["det_check"]
+        lhs, rhs = floquet.ajl_determinant(vdp, vdp_cycle, kappa=1.0,
+                                           mask=[0, 1])
+        assert (det["lhs"], det["rhs"]) == (lhs, rhs)
 
 
 class TestMsfCommand:
