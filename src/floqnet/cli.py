@@ -551,9 +551,6 @@ def run_subcommand(argv) -> int:
         print(f"floqnet: numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 1
-    except FloqnetError as exc:
-        print(f"floqnet: error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> int:

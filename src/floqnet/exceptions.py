@@ -1,9 +1,10 @@
 """Exception taxonomy shared across the package.
 
-Two broad families matter to callers: :class:`ConfigError` (bad input,
-caller mistake) and :class:`NumericalError` (a computation that was set up
-correctly failed to converge or left its domain of validity).  The CLI maps
-them to exit codes 2 and 1 respectively.
+Every error is in one of two families: :class:`ConfigError` (bad input,
+caller mistake, such as a dense evaluation outside the integrated span) and
+:class:`NumericalError` (a computation that was set up correctly failed to
+converge or left its domain of validity).  The CLI maps them to exit codes
+2 and 1 respectively.
 """
 
 
@@ -53,7 +54,7 @@ class StepBudgetExceeded(NumericalError):
     """Integration exceeded the configured maximum number of steps."""
 
 
-class OutOfRange(FloqnetError):
+class OutOfRange(ConfigError):
     """Dense evaluation requested outside the integrated span."""
 
 

@@ -285,7 +285,10 @@ def lf_decomposition(model: OscillatorModel, lc: LimitCycle,
     from :func:`_shoot` at one segment per sample.  Both come from one
     eigenbasis phi(T,0) = V diag(w) V^-1, since expm(R*t) =
     V diag(w^(t/T)) V^-1: all phases are one broadcast product and one
-    stacked inverse of the phi(t,0).
+    stacked inverse of the phi(t,0).  Where a phi(t,0) is singular to
+    working precision, as on the repressilator at every tested alpha
+    (600 to 2000), the stacked inverse raises and each phase is inverted
+    on its own, the singular ones by pseudo-inverse.
 
     Accuracy note: evaluating P requires inverting phi(t,0), so for cycles
     whose transition matrix condition number approaches 1/eps (very

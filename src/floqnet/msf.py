@@ -142,9 +142,9 @@ def sync_predicate(model: OscillatorModel, lc: LimitCycle, graph: GraphSpec,
 
     Evaluates the MSF at kappa = K*lambda_i for every transverse eigenmode
     i = 2..n; the network synchronizes iff all of them have mu_max < 1.
-    K = 0 is declared non-synchronizing outright: the modes decouple and
-    transverse perturbations inherit the full uncoupled spectrum,
-    including the unity multiplier.
+    K = 0, or a mask with no 1, is declared non-synchronizing outright:
+    K*DH = 0, so the modes decouple and transverse perturbations inherit
+    the full uncoupled spectrum, including the unity multiplier.
 
     Raises :class:`DisconnectedGraph` when lambda_2 <= 1e-10.
     """
@@ -154,7 +154,7 @@ def sync_predicate(model: OscillatorModel, lc: LimitCycle, graph: GraphSpec,
             f"algebraic connectivity {lambdas[1]:.3g} <= 1e-10; "
             "the graph must be connected"
         )
-    K = float(K)
+    K, mask = float(K), _resolve_mask(mask, model.dim)
     kappas = K * np.asarray(lambdas, dtype=float)
     mu = np.empty(graph.n)
     # lambdas ascend, so equal kappas are neighbours; one MSF point serves
@@ -164,6 +164,6 @@ def sync_predicate(model: OscillatorModel, lc: LimitCycle, graph: GraphSpec,
                                       rel_tol=KAPPA_EQUAL_RTOL):
             mu_kap = msf_point(model, lc, kap, mask=mask, cfg=cfg).mu_max
         mu[i] = mu_kap
-    synchronizes = K != 0.0 and bool(np.all(mu[1:] < 1.0))
+    synchronizes = bool(K != 0.0 and mask.any() and np.all(mu[1:] < 1.0))
     return SyncVerdict(K=K, synchronizes=synchronizes,
                        lambdas=np.asarray(lambdas, dtype=float), mu_max=mu)

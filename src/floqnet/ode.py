@@ -1,9 +1,12 @@
 """Adaptive explicit Runge-Kutta integration with dense output.
 
 A single, hard-validated integrator: the Dormand-Prince 5(4) embedded pair
-with its free 4th-order continuous extension, FSAL, and a PI-free standard
-step controller.  The controller alone sizes each step; only the last is
-cut short to end on the span's end.
+with its free 4th-order continuous extension, FSAL, and the standard step
+controller (Hairer, Norsett and Wanner, *Solving ODEs I*, II.4), which
+alone sizes each step.  Every attempt counts against the step budget.  A
+trial is rejected unless its error norm is <= 1 (NaN included); one factor
+shrinks a rejected step and grows an accepted one, and a non-finite trial
+halves it.  The step ending within round-off of t1 ends on t1.
 
 Upward zero-crossings of an event function are located on a stored
 :class:`Trajectory`: a sign change between two nodes marks the step, and
@@ -188,14 +191,13 @@ def _integrate_core(field, x0, t_span, cfg):
     t = t0
     n_steps = 0
     abs_y = np.abs(y)
-    # A gap to t1 below the underflow guard is round-off: the step that
-    # leaves it ends on t1 instead.
+    # A gap to t1 below the underflow guard is round-off, never a step.
     end_gap = float(16 * _EPS * max(abs(t1), 1.0))
     while t < t1:
         if n_steps >= cfg.max_steps:
             raise StepBudgetExceeded(
-                f"exceeded {cfg.max_steps} steps at t={t:.6g}"
-            )
+                f"exceeded {cfg.max_steps} steps at t={t:.6g}")
+        n_steps += 1
         h = min(h, t1 - t)
         # A NaN step fails here too; halved, it would run out the budget.
         if not h > 16 * _EPS * max(abs(t), 1.0):
@@ -205,39 +207,28 @@ def _integrate_core(field, x0, t_span, cfg):
             k[i] = rhs(y + h * (_A_ROWS[i] @ k[:i]))
         y_new = y + h * (_A_ROWS[6] @ k[:6])
         k[6] = rhs(y_new)  # stage 7 is evaluated at the solution (FSAL)
-        err_vec = h * (_E @ k)
 
         abs_new = np.abs(y_new)
-        peak = abs_new.max()
-        if not peak < np.inf:  # NaN or inf in y_new
-            h *= 0.5
-            n_steps += 1
-            continue
         scale = abs_tol + rel_tol * np.maximum(abs_y, abs_new)
-        err = _rms((err_vec / scale).reshape(shape))
-        if err > 1.0:
-            h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-            n_steps += 1
+        err = _rms((h * (_E @ k) / scale).reshape(shape))
+        # A non-finite trial halves h.  The floor only keeps 0 ** -0.2 from
+        # raising: every error below it gets the full _MAX_FACTOR anyway.
+        factor = 0.5 if not err < math.inf else min(
+            _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * max(err, 1e-10) ** -0.2))
+        if not err <= 1.0:  # NaN-safe
+            h *= factor
             continue
 
         # Accepted.
-        if peak > BLOWUP_LIMIT:
-            raise Blowup(
-                f"state norm exceeded {BLOWUP_LIMIT:.0e} at t={t + h:.6g}",
-                t=t + h, state=y_new.reshape(shape),
-            )
-        if 0.0 < t1 - (t + h) <= end_gap:
-            h = t1 - t
+        if abs_new.max() > BLOWUP_LIMIT:
+            raise Blowup(f"state norm exceeded {BLOWUP_LIMIT:.0e} at "
+                         f"t={t + h:.6g}", t=t + h, state=y_new.reshape(shape))
         yield t, h, y, y_new, k
 
-        factor = _MAX_FACTOR if err == 0.0 else min(
-            _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-        )
-        t = t + h
-        h = h * factor
+        t = t1 if t1 - (t + h) <= end_gap else t + h  # the last ends on t1
+        h *= factor
         y, abs_y = y_new, abs_new
         k[0] = k[6]  # FSAL
-        n_steps += 1
 
 
 def _dense_coeffs(h, y, y_new, k):
@@ -279,8 +270,8 @@ def integrate(field, x0, t_span, cfg=None):
 
     ``x0`` is a state vector, or a (B, d) batch of row systems integrated
     on one shared step sequence.  Returns a :class:`Trajectory` with dense
-    output.  Raises :class:`StepFailure`, :class:`Blowup`, or
-    :class:`StepBudgetExceeded` on the corresponding failures.
+    output whose last node is t1.  Raises :class:`StepFailure`,
+    :class:`Blowup`, or :class:`StepBudgetExceeded` on those failures.
     """
     shape = np.shape(x0)
     times, states = [float(t_span[0])], [np.asarray(x0, dtype=float).ravel()]
@@ -290,6 +281,7 @@ def integrate(field, x0, t_span, cfg=None):
         times.append(t + h)
         states.append(y_new)
         rconts.append(_dense_coeffs(h, y, y_new, k))
+    times[-1] = float(t_span[1])  # t + h of the last step may round off it
     return Trajectory(np.array(times), np.array(states).reshape((-1,) + shape),
                       np.array(rconts).reshape((-1, 5) + shape))
 

@@ -82,15 +82,21 @@ class TestLimitCycleCommand:
       "--points", "3"], "strictly increasing"),
     (["msf", "--model", "vdp", "--kappa-min", "-1", "--kappa-max", "1",
       "--points", "3"], "finite and >= 0"),
+    (["msf", "--model", "vdp", "--kappa-min", "0.5", "--points", "3"],
+     "needs kappa_max"),
     (["limit-cycle", "--model", "repressilator", "--param", "alpha=inf"],
      "finite alpha > 0"),
     (["limit-cycle", "--model", "vdp", "--rel-tol", "inf"],
      "positive and finite"),
     (["limit-cycle", "--model", "vdp", "--abs-tol", "inf"],
      "positive and finite"),
+    (["limit-cycle", "--model", "vdp", "--param", "mu"], "name=value"),
+    (["limit-cycle", "--model", "vdp", "--param", "mu=fast"],
+     "is not a number"),
 ], ids=["x0-not-a-number", "x0-wrong-length", "msf-no-points",
-        "msf-decreasing-grid", "msf-negative-kappa", "infinite-param",
-        "infinite-rel-tol", "infinite-abs-tol"])
+        "msf-decreasing-grid", "msf-negative-kappa", "msf-missing-key",
+        "infinite-param", "infinite-rel-tol", "infinite-abs-tol",
+        "param-without-equals", "param-not-a-number"])
 def test_bad_input_is_config_error(argv, message, tmp_path, monkeypatch,
                                    capsys):
     monkeypatch.chdir(tmp_path)
@@ -209,6 +215,14 @@ class TestMsfCommand:
         assert data.shape[0] == 51
         assert data[0, 0] == 0.0 and data[-1, 0] == pytest.approx(10.0)
 
+    def test_log_spacing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_subcommand(["msf", "--model", "vdp", "--mask", "0,1",
+                               "--kappa-min", "0.1", "--kappa-max", "10",
+                               "--points", "4", "--spacing", "log"]) == 0
+        _, data = read_csv(tmp_path / "msf.csv")
+        np.testing.assert_array_equal(data[:, 0], np.geomspace(0.1, 10.0, 4))
+
     def test_bad_spacing_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "sweep.json"
@@ -262,6 +276,24 @@ class TestSimulateCommand:
         monkeypatch.chdir(tmp_path)
         assert run_subcommand(["simulate"]) == 2
 
+    @pytest.mark.parametrize("graph,initial", [
+        ({"kind": "ring", "n": 4}, list(range(8))),
+        ({"kind": "adjacency", "adjacency": [[0, 1, 0], [1, 0, 1],
+                                             [0, 1, 0]]}, list(range(6))),
+    ], ids=["ring", "adjacency"])
+    def test_ring_and_adjacency_graphs(self, graph, initial, tmp_path,
+                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps({
+            "model": {"name": "vdp"}, "initial": initial, "graph": graph,
+            "coupling": {"K": 1.0, "mask": [0, 1]},
+            "run": {"t_end": 30.0, "output_grid_points": 50}}))
+        assert run_subcommand(["simulate", "--config", "c.json"]) == 0
+        header, data = read_csv(tmp_path / "simulate.csv")
+        assert header[-2] == f"x_{len(initial) // 2}_2"
+        assert data.shape == (50, len(initial) + 2)
+        assert data[-1, 0] == 30.0
+
     @pytest.mark.parametrize("change", [
         {"run": {"t_end": 10.0, "output_grid_points": 0}},
         {"run": {"t_end": 10.0, "output_grid_points": -3}},
@@ -274,8 +306,19 @@ class TestSimulateCommand:
         {"graph": {"kind": "adjacency",
                    "adjacency": [[0, float("nan"), 1], [float("nan"), 0, 1],
                                  [1, 1, 0]]}},
+        {"graph": None},
+        {"coupling": None},
+        {"run": {"output_grid_points": 10}},
+        {"initial": None},
+        {"graph": {"kind": "adjacency", "n": 3}},
+        {"graph": {"kind": "star", "n": 3}},
+        {"graph": 3},
+        {"coupling": {"K": 1.0, "mask": 1}},
     ], ids=["no-output-points", "negative-output-points", "one-node-graph",
-            "infinite-end-time", "nan-weight-2-nodes", "nan-weight-3-nodes"])
+            "infinite-end-time", "nan-weight-2-nodes", "nan-weight-3-nodes",
+            "no-graph", "no-coupling", "no-end-time", "no-initial",
+            "adjacency-kind-without-matrix", "unknown-graph-kind",
+            "section-not-an-object", "mask-not-an-array"])
     def test_bad_run_or_graph_exits_2_before_integrating(
             self, change, tmp_path, monkeypatch, capsys):
         def no_integration(*args, **kwargs):
@@ -287,7 +330,10 @@ class TestSimulateCommand:
                   "graph": {"kind": "complete", "n": 3},
                   "coupling": {"K": 1.0, "mask": [1, 1]},
                   "run": {"t_end": 10.0}}
-        (tmp_path / "c.json").write_text(json.dumps({**config, **change}))
+        # A None in ``change`` drops that section.
+        config = {key: val for key, val in {**config, **change}.items()
+                  if val is not None}
+        (tmp_path / "c.json").write_text(json.dumps(config))
         assert run_subcommand(["simulate", "--config", "c.json"]) == 2
         assert "config error" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]

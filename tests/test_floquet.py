@@ -218,6 +218,15 @@ class TestLFDecomposition:
         lf = lf_decomposition(vdp, vdp_cycle)
         assert lf.periodicity_residual < 1e-4
 
+    def test_loose_tolerance_segments_end_on_their_samples(self, cycle_of):
+        # At rel_tol 1e-6 the last step of a T/512 segment can round one
+        # ulp short of its end; the step must end on it, not leave a
+        # sliver that fails as a step-size underflow.
+        model, lc = cycle_of("vdp", mu=1.0714285714285716)
+        loose = lf_decomposition(
+            model, lc, IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8))
+        assert np.abs(loose.R - lf_decomposition(model, lc).R).max() < 1e-6
+
 
 @pytest.fixture(scope="module")
 def cycle_of():

@@ -116,10 +116,23 @@ class TestSyncPredicate:
         # mode 1 carries the uncoupled non-unity maximum, below 1 anyway
         assert verdict.mu_max[0] == pytest.approx(VDP_MU2_REF, rel=1e-6)
 
-    def test_zero_gain_never_synchronizes(self, vdp, vdp_cycle):
-        verdict = sync_predicate(vdp, vdp_cycle, complete_graph(3), 0.0)
+    @pytest.mark.parametrize("coupling", ["zero-gain", "zero-mask"])
+    @pytest.mark.parametrize("name, cycle", [("vdp", "vdp_cycle"),
+                                             ("repressilator", "rep_cycle")],
+                             ids=["vdp", "repressilator"])
+    def test_zero_gain_never_synchronizes(self, request, name, cycle,
+                                          coupling):
+        # K = 0 or a mask with no 1 gives K*DH = 0: the modes decouple.
+        model = request.getfixturevalue(name)
+        lc = request.getfixturevalue(cycle)
+        K, mask = (0.0, None) if coupling == "zero-gain" \
+            else (1.0, np.zeros(model.dim))
+        verdict = sync_predicate(model, lc, complete_graph(3), K, mask=mask)
         assert not verdict.synchronizes
-        assert np.all(verdict.mu_max < 1.0)  # yet the verdict is false
+        if coupling == "zero-gain":
+            assert np.all(verdict.mu_max < 1.0)  # yet the verdict is false
+        else:  # the unity multiplier, a round-off from either side of 1
+            np.testing.assert_allclose(verdict.mu_max[1:], 1.0, atol=1e-6)
 
     def test_negative_gain_fails_by_shift_law(self, vdp, vdp_cycle):
         verdict = sync_predicate(vdp, vdp_cycle, complete_graph(3), -0.5)

@@ -112,6 +112,39 @@ class TestIntegrate:
             traj = integrate(vdp_field, [2.0, 0.0], (t0, t0 + 0.01))
             assert traj.times[-1] == t0 + 0.01
 
+    def test_last_step_rounding_short_ends_on_t1(self):
+        # t + (t1 - t) rounds one ulp below this t1 on the last step; a
+        # 4e-16 sliver left to step would fail as a step-size underflow.
+        t1 = 3.079070222502104
+        traj = integrate(lambda x: -1e-3 * x, [1.0], (0.0, t1))
+        assert traj.times[-1] == t1
+
+    def test_every_span_ends_on_t1(self):
+        for t1 in np.random.default_rng(0).uniform(0.1, 100.0, 2000):
+            traj = integrate(lambda x: -1e-3 * x, [1.0], (0.0, t1))
+            assert traj.times[-1] == t1
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("tol,node_error", [
+        (1e-3, 1.23e-5), (1e-6, 2.34e-7), (1e-9, 2.31e-10)])
+    def test_non_finite_trial_is_rejected(self, tol, node_error):
+        # x' = -x behind a wall: the field is inf for x < 0, where a too
+        # long trial step lands.  Such trials are rejected and halved, so
+        # the decay is followed as accurately as the tolerance allows.
+        outside = []
+
+        def walled(x):
+            if x[0] < 0.0:
+                outside.append(x[0])
+                return np.array([np.inf])
+            return -x
+
+        traj = integrate(walled, [1.0], (0.0, 30.0),
+                         IntegratorConfig(rel_tol=tol, abs_tol=tol))
+        assert traj.times[-1] == 30.0 and outside
+        error = np.abs(traj.states[:, 0] - np.exp(-traj.times)).max()
+        assert error <= 2 * node_error
+
     def test_step_budget(self):
         with pytest.raises(StepBudgetExceeded):
             integrate(vdp_field, [2.0, 0.0], (0.0, 100.0),
