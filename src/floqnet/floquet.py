@@ -253,10 +253,17 @@ def ajl_determinant(model: OscillatorModel, lc: LimitCycle,
 
     Raises :class:`ClosureDrift` as :func:`monodromy` does.
     """
-    mask_v = _resolve_mask(mask, model.dim)
-    factors = variational_factors(model, lc, [kappa], mask_v, cfg)[0]
-    det_phi = float(np.prod(np.linalg.det(factors)))
-    return det_phi, _trace_side(model, lc, kappa, mask_v)
+    det_phi, rhs = _determinant_sides(
+        model, lc, [kappa], _resolve_mask(mask, model.dim), cfg)
+    return float(det_phi[0]), rhs[0]
+
+
+def _determinant_sides(model, lc, kappas, mask, cfg=None):
+    """Both sides of :func:`ajl_determinant` at every kappa, the left ones
+    from one variational pass; ``mask`` is resolved."""
+    factors = variational_factors(model, lc, kappas, mask, cfg)
+    det_phi = np.prod(np.linalg.det(factors), axis=1)
+    return det_phi, [_trace_side(model, lc, kappa, mask) for kappa in kappas]
 
 
 def _trace_side(model, lc, kappa, mask):
@@ -264,16 +271,6 @@ def _trace_side(model, lc, kappa, mask):
     traces = np.trace(model.node_jacobian(lc.samples), axis1=1, axis2=2)
     return float(np.exp(traces.mean() * lc.period)
                  * np.exp(-float(kappa) * mask.sum() * lc.period))
-
-
-def _inv_or_pinv(a):
-    # LU flags exact singularity when transition-matrix pivots underflow
-    # (extreme volume contraction); fall back to the SVD pseudo-inverse so
-    # the factorization degrades to a large residual instead of crashing.
-    try:
-        return np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        return np.linalg.pinv(a)
 
 
 def lf_decomposition(model: OscillatorModel, lc: LimitCycle,
@@ -285,10 +282,11 @@ def lf_decomposition(model: OscillatorModel, lc: LimitCycle,
     from :func:`_shoot` at one segment per sample.  Both come from one
     eigenbasis phi(T,0) = V diag(w) V^-1, since expm(R*t) =
     V diag(w^(t/T)) V^-1: all phases are one broadcast product and one
-    stacked inverse of the phi(t,0).  Where a phi(t,0) is singular to
-    working precision, as on the repressilator at every tested alpha
-    (600 to 2000), the stacked inverse raises and each phase is inverted
-    on its own, the singular ones by pseudo-inverse.
+    stacked inverse of the phi(t,0).  A phi(t,0) whose LU factorization
+    hits an exactly zero pivot (its transition-matrix pivots underflow, as
+    on the repressilator at every tested alpha, 600 to 2000) is marked by
+    a zero determinant sign and pseudo-inverted instead, so the
+    factorization degrades to a large residual instead of crashing.
 
     Accuracy note: evaluating P requires inverting phi(t,0), so for cycles
     whose transition matrix condition number approaches 1/eps (very
@@ -307,10 +305,11 @@ def lf_decomposition(model: OscillatorModel, lc: LimitCycle,
 
     log_w, v, v_inv = linalg._principal_log_eig(phis[-1])
     r = (v * log_w) @ v_inv / lc.period
-    try:
-        phi_inv = np.linalg.inv(phis)
-    except np.linalg.LinAlgError:
-        phi_inv = np.array([_inv_or_pinv(a) for a in phis])
+    singular = np.linalg.slogdet(phis)[0] == 0
+    phi_inv = np.empty_like(phis)
+    phi_inv[~singular] = np.linalg.inv(phis[~singular])
+    if singular.any():
+        phi_inv[singular] = np.linalg.pinv(phis[singular])
     p_all = (v * np.exp(phases[:, None] * log_w)[:, None, :]) @ v_inv @ phi_inv
     p_samples = p_all[:-1]
     p_samples[0] = np.eye(m)

@@ -7,6 +7,14 @@ At kappa = 0 the unity multiplier (the perturbation along the cycle) is
 excluded from the maximum; at kappa != 0 every multiplier is retained, so
 the instability of negatively coupled modes is visible.  The MSF depends
 on the product K*lambda only, never on K and lambda separately.
+
+With full-state coupling (DH = I) the coupling term commutes with the
+flow, so every multiplier at kappa is the uncoupled one scaled by
+exp(-kappa*T): :func:`msf_sweep` and :func:`sync_predicate` then take one
+uncoupled :func:`~floqnet.floquet.monodromy` and apply
+:func:`~floqnet.floquet.shifted_multipliers_fullstate` at every kappa, of
+either sign (:func:`_fullstate_points`).  Partial masks have no closed
+form and integrate each kappa.
 """
 from __future__ import annotations
 
@@ -17,7 +25,7 @@ import numpy as np
 
 from .exceptions import DisconnectedGraph, InvalidParam
 from .floquet import UNITY_TOL, _cyclic_multipliers, _resolve_mask, \
-    monodromy, variational_factors
+    monodromy, shifted_multipliers_fullstate, variational_factors
 from .limit_cycle import LimitCycle
 from .models import OscillatorModel
 from .network import GraphSpec
@@ -117,20 +125,33 @@ def msf_point(model: OscillatorModel, lc: LimitCycle, kappa: float,
     return _point(mon.kappa, mon.multipliers)
 
 
+def _fullstate_points(model, lc, kappas, cfg):
+    """Full-state (DH = I) MSF samples at every kappa from one uncoupled
+    monodromy and the shift law mu(kappa) = mu(0) * exp(-kappa*T)."""
+    base = monodromy(model, lc, kappa=0.0, cfg=cfg)
+    return [_point(kappa, shifted_multipliers_fullstate(base, kappa))
+            for kappa in kappas]
+
+
 def msf_sweep(model: OscillatorModel, lc: LimitCycle, mask, kappa_grid,
               cfg: IntegratorConfig | None = None) -> MsfCurve:
     """Evaluate the MSF on a strictly increasing grid of kappa >= 0.
 
-    Every grid point is integrated in one variational pass over the
-    cycle (:func:`~floqnet.floquet.variational_factors`), whose step
-    sequence is set by the most demanding kappa; each point then gets its
-    multipliers from its own segment factors.
+    A full mask takes the shift law from one uncoupled monodromy, whatever
+    the grid.  A partial mask integrates every grid point in one
+    variational pass over the cycle
+    (:func:`~floqnet.floquet.variational_factors`), whose step sequence is
+    set by the most demanding kappa; each point then gets its multipliers
+    from its own segment factors.
     """
     grid = _resolve_kappa_grid(kappa_grid)
     mask = _resolve_mask(mask, model.dim)
-    factors = variational_factors(model, lc, grid, mask, cfg)
-    points = [_point(kappa, _cyclic_multipliers(segment_factors))
-              for kappa, segment_factors in zip(grid, factors)]
+    if mask.all():
+        points = _fullstate_points(model, lc, grid, cfg)
+    else:
+        factors = variational_factors(model, lc, grid, mask, cfg)
+        points = [_point(kappa, _cyclic_multipliers(segment_factors))
+                  for kappa, segment_factors in zip(grid, factors)]
     return MsfCurve(points=tuple(points), model_name=model.name, mask=mask,
                     period=lc.period)
 
@@ -146,7 +167,12 @@ def sync_predicate(model: OscillatorModel, lc: LimitCycle, graph: GraphSpec,
     K*DH = 0, so the modes decouple and transverse perturbations inherit
     the full uncoupled spectrum, including the unity multiplier.
 
-    Raises :class:`DisconnectedGraph` when lambda_2 <= 1e-10.
+    A full mask takes every mode from one uncoupled monodromy by the shift
+    law, for either sign of K; a partial mask integrates one MSF point per
+    distinct K*lambda.
+
+    Raises :class:`DisconnectedGraph` when lambda_2 <= 1e-10 and
+    :class:`InvalidParam` for a non-finite K.
     """
     lambdas = graph.eigenvalues
     if not graph.is_connected:
@@ -155,15 +181,22 @@ def sync_predicate(model: OscillatorModel, lc: LimitCycle, graph: GraphSpec,
             "the graph must be connected"
         )
     K, mask = float(K), _resolve_mask(mask, model.dim)
+    if not math.isfinite(K):
+        raise InvalidParam(f"coupling gain K must be finite, got {K}")
     kappas = K * np.asarray(lambdas, dtype=float)
-    mu = np.empty(graph.n)
-    # lambdas ascend, so equal kappas are neighbours; one MSF point serves
-    # each run of kappas within KAPPA_EQUAL_RTOL of the one before.
-    for i, kap in enumerate(kappas):
-        if i == 0 or not math.isclose(kap, kappas[i - 1],
-                                      rel_tol=KAPPA_EQUAL_RTOL):
-            mu_kap = msf_point(model, lc, kap, mask=mask, cfg=cfg).mu_max
-        mu[i] = mu_kap
+    if mask.all():
+        mu = np.array([p.mu_max for p in
+                       _fullstate_points(model, lc, kappas, cfg)])
+    else:
+        mu = np.empty(graph.n)
+        # lambdas ascend, so equal kappas are neighbours; one MSF point
+        # serves each run of kappas within KAPPA_EQUAL_RTOL of the one
+        # before.
+        for i, kap in enumerate(kappas):
+            if i == 0 or not math.isclose(kap, kappas[i - 1],
+                                          rel_tol=KAPPA_EQUAL_RTOL):
+                mu_kap = msf_point(model, lc, kap, mask=mask, cfg=cfg).mu_max
+            mu[i] = mu_kap
     synchronizes = bool(K != 0.0 and mask.any() and np.all(mu[1:] < 1.0))
     return SyncVerdict(K=K, synchronizes=synchronizes,
                        lambdas=np.asarray(lambdas, dtype=float), mu_max=mu)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from floqnet.limit_cycle import find_limit_cycle
-from floqnet.models import linear_rotation_model, repressilator_model, \
-    vdp_model
+from floqnet.models import get_model, linear_rotation_model, \
+    repressilator_model, vdp_model
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +36,22 @@ def rep_cycle(repressilator):
 @pytest.fixture(scope="session")
 def rotation_cycle(rotation):
     return find_limit_cycle(rotation)
+
+
+@pytest.fixture(scope="session")
+def cycle_of():
+    """``cycle_of(name, **params)``: the model and its limit cycle, cached
+    per model."""
+    cache = {}
+
+    def build(name, **params):
+        key = (name, tuple(sorted(params.items())))
+        if key not in cache:
+            model = get_model(name, params)
+            cache[key] = model, find_limit_cycle(model)
+        return cache[key]
+
+    return build
 
 
 @pytest.fixture(scope="session")

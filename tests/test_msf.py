@@ -5,8 +5,9 @@ import pytest
 
 import floqnet.msf
 from floqnet.exceptions import DisconnectedGraph, InvalidParam
-from floqnet.floquet import monodromy
-from floqnet.msf import default_kappa_grid, msf_point, msf_sweep, \
+from floqnet.floquet import _cyclic_multipliers, monodromy, \
+    shifted_multipliers_fullstate, variational_factors
+from floqnet.msf import _point, default_kappa_grid, msf_point, msf_sweep, \
     sync_predicate
 from floqnet.network import complete_graph, from_adjacency
 
@@ -21,6 +22,24 @@ MSF_VDP_PARTIAL_REGRESSION = {
     2.0: 3.559959174723e-02,
     5.0: 3.018157542994e-01,
 }
+
+
+def _count_monodromies(monkeypatch):
+    """Record the kappa of every ``monodromy`` call the msf module makes."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["kappa"])
+        return monodromy(*args, **kwargs)
+
+    monkeypatch.setattr(floqnet.msf, "monodromy", counted)
+    return calls
+
+
+def _path_graph(n):
+    """A path of n nodes: n distinct Laplacian eigenvalues."""
+    adjacency = np.eye(n, k=1) + np.eye(n, k=-1)
+    return from_adjacency(adjacency)
 
 
 class TestMsfPoint:
@@ -156,22 +175,17 @@ class TestSyncPredicate:
     def test_one_monodromy_per_distinct_kappa(self, vdp, vdp_cycle,
                                               monkeypatch):
         # complete_graph(32): lambda = 0 once and 32 (to rounding) 31 times.
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(kwargs["kappa"])
-            return monodromy(*args, **kwargs)
-
-        monkeypatch.setattr(floqnet.msf, "monodromy", counted)
+        # A partial mask integrates each distinct kappa.
+        calls = _count_monodromies(monkeypatch)
         graph = complete_graph(32)
         k = 0.1
-        verdict = sync_predicate(vdp, vdp_cycle, graph, k)
+        verdict = sync_predicate(vdp, vdp_cycle, graph, k, mask=[0, 1])
         assert len(calls) == 2
         assert verdict.synchronizes
         assert verdict.mu_max[0] == pytest.approx(VDP_MU2_REF, rel=1e-6)
-        for lam, mu in zip(verdict.lambdas[1:], verdict.mu_max[1:]):
-            assert mu == pytest.approx(np.exp(-k * lam * vdp_cycle.period),
-                                       rel=1e-6)
+        expected = _point(calls[1], monodromy(
+            vdp, vdp_cycle, kappa=calls[1], mask=[0, 1]).multipliers).mu_max
+        assert np.all(verdict.mu_max[1:] == expected)
 
     def test_disconnected_graph_rejected(self, vdp, vdp_cycle):
         two_pairs = np.zeros((4, 4))
@@ -188,3 +202,85 @@ class TestSyncPredicate:
     def test_non_finite_gain_is_invalid(self, vdp, vdp_cycle, K):
         with pytest.raises(InvalidParam):
             sync_predicate(vdp, vdp_cycle, complete_graph(3), K)
+
+
+FULLSTATE_CASES = [
+    ("vdp", {"mu": 0.5}), ("vdp", {"mu": 1.0}), ("vdp", {"mu": 2.0}),
+    ("repressilator", {"alpha": 600.0}),
+    ("repressilator", {"alpha": 1000.0}),
+    ("repressilator", {"alpha": 2000.0}),
+]
+FULLSTATE_IDS = ["vdp-0.5", "vdp-1", "vdp-2", "rep-600", "rep-1000",
+                 "rep-2000"]
+
+
+class TestFullStateShiftLaw:
+    """A full mask answers every kappa from one uncoupled monodromy,
+    scaled by exp(-kappa*T); the integrated variational pass at each kappa
+    is the independent route it must agree with."""
+
+    @pytest.mark.parametrize("name, params", FULLSTATE_CASES,
+                             ids=FULLSTATE_IDS)
+    def test_sweep_is_shift_law_and_matches_integration(
+            self, cycle_of, name, params):
+        model, lc = cycle_of(name, **params)
+        grid = default_kappa_grid()
+        curve = msf_sweep(model, lc, None, grid)
+        base = monodromy(model, lc)
+        integrated = variational_factors(model, lc, grid)
+        for point, factors in zip(curve.points, integrated):
+            assert np.array_equal(
+                point.multipliers,
+                shifted_multipliers_fullstate(base, point.kappa))
+            direct = _point(point.kappa, _cyclic_multipliers(factors))
+            assert point.mu_max == pytest.approx(direct.mu_max, rel=1e-8)
+            np.testing.assert_allclose(
+                np.sort(np.abs(point.multipliers)),
+                np.sort(np.abs(direct.multipliers)), rtol=1e-6, atol=0)
+
+    @pytest.mark.parametrize("K", [0.7, -0.2])
+    @pytest.mark.parametrize("name, params", FULLSTATE_CASES,
+                             ids=FULLSTATE_IDS)
+    def test_predicate_is_shift_law_and_matches_integration(
+            self, cycle_of, name, params, K):
+        model, lc = cycle_of(name, **params)
+        graph = _path_graph(4)
+        verdict = sync_predicate(model, lc, graph, K)
+        base = monodromy(model, lc)
+        for lam, mu in zip(verdict.lambdas, verdict.mu_max):
+            kappa = K * lam
+            assert mu == _point(
+                kappa, shifted_multipliers_fullstate(base, kappa)).mu_max
+            direct = msf_point(model, lc, kappa).mu_max
+            assert mu == pytest.approx(direct, rel=1e-8)
+
+    @pytest.mark.parametrize("grid", [[0.0], [0.5, 1.0, 2.0],
+                                      default_kappa_grid()],
+                             ids=["zero", "three", "default"])
+    def test_sweep_makes_one_uncoupled_monodromy(self, vdp, vdp_cycle,
+                                                 monkeypatch, grid):
+        calls = _count_monodromies(monkeypatch)
+        msf_sweep(vdp, vdp_cycle, None, grid)
+        assert calls == [0.0]
+
+    @pytest.mark.parametrize("graph, K", [
+        (complete_graph(3), 1.0), (complete_graph(32), 0.1),
+        (_path_graph(5), 0.7), (complete_graph(3), -0.5),
+        (_path_graph(5), -0.1),
+    ], ids=["complete3", "complete32", "path5", "complete3-neg",
+            "path5-neg"])
+    def test_predicate_makes_one_uncoupled_monodromy(
+            self, vdp, vdp_cycle, monkeypatch, graph, K):
+        calls = _count_monodromies(monkeypatch)
+        verdict = sync_predicate(vdp, vdp_cycle, graph, K)
+        assert calls == [0.0]
+        assert verdict.synchronizes == (K > 0)
+
+    @pytest.mark.parametrize("mask", [None, [0, 1]], ids=["full", "partial"])
+    @pytest.mark.parametrize("K", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gain_refused_before_integration(
+            self, vdp, vdp_cycle, monkeypatch, mask, K):
+        calls = _count_monodromies(monkeypatch)
+        with pytest.raises(InvalidParam):
+            sync_predicate(vdp, vdp_cycle, complete_graph(3), K, mask=mask)
+        assert calls == []
