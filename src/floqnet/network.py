@@ -232,7 +232,8 @@ def simulate_network(model: OscillatorModel, graph: GraphSpec,
     if t_on > 0:
         phase1 = integrate(uncoupled, x0, (0.0, t_on), cfg)
         states[~on] = phase1.eval(times[~on])
-        x_on = phase1.states[-1]
+        x_on = phase1.states[-1].copy()
+        del phase1  # phase 2 runs without phase 1's dense store
     phase2 = integrate(coupled, x_on, (t_on, float(t_end)), cfg)
     states[on] = phase2.eval(times[on])
     sync = sync_error(times, states, n, m)

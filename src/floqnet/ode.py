@@ -60,6 +60,9 @@ _D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
 _A_ROWS = [_A[i, :i] for i in range(7)]
 _EPS = np.finfo(float).eps
 
+# Grid points per block of dense evaluation.
+_EVAL_BLOCK = 256
+
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _SAFETY = 0.9
@@ -83,18 +86,33 @@ class IntegratorConfig:
 
 
 class Trajectory:
-    """Solution of one integration: nodes plus a per-step quartic
-    interpolant.
+    """Solution of one integration: nodes plus what each step's quartic
+    interpolant is built from.
 
+    Per accepted step it keeps three state-sized rows: the node state, the
+    node slope f(x) (the FSAL stage, so one per node, shared by the steps
+    on either side) and the quartic row h * (_D @ k); plus the step size h.
     ``eval`` at a stored node time returns the stored state exactly;
-    between nodes it evaluates the 4th-order continuous extension of the
-    integrator.
+    between nodes it builds the 4th-order continuous extension of the
+    integrator, for the steps it touches only.
     """
 
-    def __init__(self, times, states, rcont):
+    def __init__(self, times, states, slopes, quartic, h):
         self.times = np.asarray(times, dtype=float)
         self.states = np.asarray(states, dtype=float)
-        self._rcont = rcont  # (n_steps, 5, *state shape)
+        self._slopes = slopes    # (n_steps + 1, *state shape)
+        self._quartic = quartic  # (n_steps, *state shape)
+        self._h = h              # (n_steps,)
+
+    def _coeffs(self, step):
+        """:func:`_dense_coeffs` of step ``step``, or of an index array of
+        steps stacked on a leading axis."""
+        h = self._h[step]
+        if np.ndim(step):
+            h = h.reshape(h.shape + (1,) * (self.states.ndim - 1))
+        return _dense_coeffs(h, self.states[step], self.states[step + 1],
+                             self._slopes[step], self._slopes[step + 1],
+                             self._quartic[step])
 
     def eval(self, t):
         """Dense evaluation at scalar or array ``t`` within the span."""
@@ -112,7 +130,12 @@ class Trajectory:
         t_lo, t_hi = self.times[step], self.times[step + 1]
         theta = ((flat - t_lo) / (t_hi - t_lo)).reshape(
             (-1,) + (1,) * (self.states.ndim - 1))
-        out = _dense_eval(np.moveaxis(self._rcont[step], 1, 0), theta)
+        # In blocks of points, so the coefficient rows of a long grid are
+        # never all held at once.
+        out = np.empty((flat.size,) + self.states.shape[1:])
+        for lo in range(0, flat.size, _EVAL_BLOCK):
+            block = slice(lo, lo + _EVAL_BLOCK)
+            out[block] = _dense_eval(self._coeffs(step[block]), theta[block])
         exact = self.times[idx] == flat
         out[exact] = self.states[idx[exact]]
         return out[0] if t_arr.ndim == 0 else out
@@ -121,7 +144,7 @@ class Trajectory:
         """``(t, state)`` of the upward zero of ``event`` on step ``i``,
         whose node values go from < 0 to >= 0 (see :func:`_upward_steps`),
         bisected on the step's dense polynomial."""
-        t = _refine_crossing(event, self._rcont[i], self.times[i],
+        t = _refine_crossing(event, self._coeffs(i), self.times[i],
                              self.times[i + 1] - self.times[i])
         return t, self.eval(t)
 
@@ -231,23 +254,37 @@ def _integrate_core(field, x0, t_span, cfg):
         k[0] = k[6]  # FSAL
 
 
-def _dense_coeffs(h, y, y_new, k):
-    """Coefficients of the quartic continuous extension over one step."""
-    r = np.empty((5, y.size))
-    r[0] = y
-    r[1] = ydiff = y_new - y
-    r[2] = bspl = h * k[0] - ydiff
-    r[3] = ydiff - h * k[6] - bspl
-    r[4] = h * (_D @ k)
-    return r
+def _quartic_row(h, k):
+    """The quartic-term row h * (_D @ k) of one step's dense polynomial."""
+    return h * (_D @ k)
+
+
+def _dense_coeffs(h, y, y_new, f0, f1, quartic):
+    """Coefficient rows (y, d, h f0 - d, d - h f1 - (h f0 - d), quartic),
+    d = y_new - y, of the quartic continuous extension over one step, from
+    its end states, end slopes f0, f1 and :func:`_quartic_row`.  Stacked
+    steps on a leading axis take an ``h`` that broadcasts over them."""
+    ydiff = y_new - y
+    bspl = h * f0 - ydiff
+    return y, ydiff, bspl, ydiff - h * f1 - bspl, quartic
 
 
 def _dense_eval(r, theta):
+    """Horner's rule r0 + t(r1 + s(r2 + t(r3 + s r4))), t = theta and
+    s = 1 - theta, on coefficient rows ``r``, in place on one output."""
     theta1 = 1.0 - theta
-    return r[0] + theta * (r[1] + theta1 * (r[2] + theta * (r[3] + theta1 * r[4])))
+    out = theta1 * r[4]
+    out += r[3]
+    out *= theta
+    out += r[2]
+    out *= theta1
+    out += r[1]
+    out *= theta
+    out += r[0]
+    return out
 
 
-def _refine_crossing(event, rcont, t_lo, h):
+def _refine_crossing(event, coeffs, t_lo, h):
     """Bisect the dense polynomial for the upward zero of ``event``.
 
     The sign change is guaranteed by the caller; bisection to ~1e-13
@@ -256,7 +293,7 @@ def _refine_crossing(event, rcont, t_lo, h):
     a, b = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (a + b)
-        if float(event(_dense_eval(rcont, mid))) < 0.0:
+        if float(event(_dense_eval(coeffs, mid))) < 0.0:
             a = mid
         else:
             b = mid
@@ -275,15 +312,21 @@ def integrate(field, x0, t_span, cfg=None):
     """
     shape = np.shape(x0)
     times, states = [float(t_span[0])], [np.asarray(x0, dtype=float).ravel()]
-    rconts = []
+    slopes, quartic, hs = [], [], []
     for t, h, y, y_new, k in _integrate_core(field, x0, t_span,
                                              cfg or IntegratorConfig()):
         times.append(t + h)
         states.append(y_new)
-        rconts.append(_dense_coeffs(h, y, y_new, k))
+        slopes.append(k[0].copy())
+        quartic.append(_quartic_row(h, k))
+        hs.append(h)
+    slopes.append(k[6].copy())  # the last node's; every span takes a step
     times[-1] = float(t_span[1])  # t + h of the last step may round off it
-    return Trajectory(np.array(times), np.array(states).reshape((-1,) + shape),
-                      np.array(rconts).reshape((-1, 5) + shape))
+    # Rebinding drops each list of rows before the next is stacked.
+    states = np.array(states).reshape((-1,) + shape)
+    slopes = np.array(slopes).reshape((-1,) + shape)
+    quartic = np.array(quartic).reshape((-1,) + shape)
+    return Trajectory(np.array(times), states, slopes, quartic, np.array(hs))
 
 
 def integrate_with_events(field, x0, t_span, cfg=None, event=None):

@@ -5,7 +5,7 @@ import numpy as np
 
 from floqnet.limit_cycle import LimitCycle, _section
 from floqnet.ode import IntegratorConfig, _dense_coeffs, _dense_eval, \
-    _final_state, _integrate_core, _refine_crossing, integrate
+    _final_state, _integrate_core, _quartic_row, _refine_crossing, integrate
 
 
 def expm(m):
@@ -120,7 +120,7 @@ def section_crossings(steps, event):
         g_lo = float(event(y)) if g_hi is None else g_hi
         g_hi = float(event(y_new))
         if g_lo < 0.0 <= g_hi:
-            r = _dense_coeffs(h, y, y_new, k)
+            r = _dense_coeffs(h, y, y_new, k[0], k[6], _quartic_row(h, k))
             tc = _refine_crossing(event, r, t, h)
             yield tc, _dense_eval(r, (tc - t) / h)
 

@@ -1,11 +1,15 @@
 """Tests for the adaptive integrator, its dense output, and event location."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from floqnet.exceptions import Blowup, DimensionMismatch, InvalidParam, \
     OutOfRange, StepBudgetExceeded, StepFailure
-from floqnet.ode import IntegratorConfig, _dense_eval, _final_state, \
-    _integrate_core, integrate, integrate_with_events
+from floqnet.models import vdp_model
+from floqnet.ode import IntegratorConfig, _dense_coeffs, _dense_eval, \
+    _final_state, _integrate_core, _quartic_row, integrate, \
+    integrate_with_events
 from oracles import section_crossings
 
 
@@ -224,10 +228,18 @@ class TestDenseOutput:
     @pytest.mark.parametrize("x0", [[2.0, 0.0], [[2.0, 0.0], [0.5, -1.0]]])
     def test_array_eval_matches_per_point_polynomial(self, x0):
         # One array call gives, bit for bit, each point's own step
-        # polynomial, or the stored state at a node time.
-        traj = integrate(lambda x: np.stack([x[..., 1], (1 - x[..., 0] ** 2)
-                                             * x[..., 1] - x[..., 0]], -1),
-                         x0, (0.0, 10.0))
+        # polynomial, or the stored state at a node time.  The reference
+        # polynomials come from the raw step stream, not the trajectory.
+        def field(x):
+            return np.stack([x[..., 1], (1 - x[..., 0] ** 2) * x[..., 1]
+                             - x[..., 0]], -1)
+
+        span = (0.0, 10.0)
+        traj = integrate(field, x0, span)
+        stream = [_dense_coeffs(h, y, y_new, k[0], k[6], _quartic_row(h, k))
+                  for _, h, y, y_new, k in _integrate_core(
+                      field, x0, span, IntegratorConfig())]
+        assert len(stream) == traj.times.size - 1
         ts = np.concatenate([np.linspace(0.0, traj.times[-1], 301),
                              traj.times[1:4]])
         expected = []
@@ -237,11 +249,32 @@ class TestDenseOutput:
                 expected.append(traj.states[k])
             else:
                 t_lo, t_hi = traj.times[k - 1], traj.times[k]
-                expected.append(_dense_eval(traj._rcont[k - 1],
-                                            (t - t_lo) / (t_hi - t_lo)))
+                expected.append(_dense_eval(stream[k - 1],
+                                            (t - t_lo) / (t_hi - t_lo))
+                                .reshape(np.shape(x0)))
         assert np.array_equal(traj.eval(ts), np.array(expected))
         assert all(np.array_equal(traj.eval(t), e)
                    for t, e in zip(ts, expected))
+
+    def test_dense_store_keeps_three_rows_per_step(self):
+        # Node state, node slope and quartic row per step, plus the node
+        # time and step size; five coefficient rows a step would be ~3 KB.
+        vdp = vdp_model(1.0)
+
+        def field(x):
+            return vdp.node_field(x.reshape(32, 2)).reshape(-1)
+
+        x0 = np.random.default_rng(0).uniform(-2.0, 2.0, 64)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = integrate(field, x0, (0.0, 25.0))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        steps = traj.times.size - 1
+        assert steps >= 1000
+        assert retained <= steps * (3 * 64 * 8 + 16) + 64 * 1024
 
     def test_constant_midpoint(self):
         traj = integrate(lambda x: np.zeros(1), [4.0], (0.0, 2.0))
