@@ -43,11 +43,11 @@ class OscillatorModel:
     """A named vector field f: R^m -> R^m with analytic Jacobian.
 
     ``node_field`` maps an (n, m) array of states to their (n, m) fields
-    and ``node_jacobian`` to their (n, m, m) Jacobians; every model
-    supplies both, since the variational passes and the cycle search run
-    on them.  They must agree with ``field`` and ``jacobian``, so a
-    :func:`dataclasses.replace` that swaps ``field`` or ``jacobian`` must
-    swap its batch form as well.
+    and ``node_jacobian`` to their (n, m, m) Jacobians; the variational
+    passes, the Newton search and every network right-hand side run on
+    them, and ``field`` drives the scout and search legs.  The two forms
+    must agree, so a :func:`dataclasses.replace` that swaps ``field`` or
+    ``jacobian`` must swap its batch form as well.
     """
 
     name: str

@@ -151,12 +151,15 @@ def assemble_coupled_field(model: OscillatorModel, graph: GraphSpec,
     """Vector field of the n*m-dimensional coupled network with the
     coupling active: X' = F(X) - K (G kron DH) X.
 
-    With K = 0 this is n independent copies of the model field; on the
-    synchronization manifold the coupling term vanishes exactly.
+    The flat state is viewed as the (n, m) node array X, so one call is
+    ``model.node_field(X) + (-K G) @ (X * mask)``: one batched model call
+    and one (n, n) @ (n, m) product, whatever n is.  With K = 0 this is n
+    independent copies of the model field; on the synchronization
+    manifold the coupling term vanishes exactly.
     """
     n, m = graph.n, model.dim
     mask = _resolve_mask(coupling.mask, m)
-    f = model.field
+    node_f = model.node_field
     neg_kg = -coupling.K * graph.laplacian
 
     def coupled(x_flat):
@@ -165,11 +168,7 @@ def assemble_coupled_field(model: OscillatorModel, graph: GraphSpec,
                 f"state length {x_flat.size} != n*m = {n * m}"
             )
         x = x_flat.reshape(n, m)
-        out = np.empty_like(x)
-        for i in range(n):
-            out[i] = f(x[i])
-        out += neg_kg @ (x * mask)
-        return out.ravel()
+        return (node_f(x) + neg_kg @ (x * mask)).ravel()
 
     return coupled
 

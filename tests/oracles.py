@@ -167,3 +167,25 @@ def poincare_cycle(model, cfg=None):
     times = np.arange(512) * (period / 512)
     return LimitCycle(period=period, anchor=states[-1], times=times,
                       samples=one_period.eval(times), closure_residual=closure)
+
+
+def per_node_coupled_field(model, graph, coupling):
+    """The per-node loop that the batched network field replaced, the
+    oracle for :func:`floqnet.network.assemble_coupled_field`.
+
+    Each right-hand side makes n scalar ``model.field`` calls, one per
+    node row, and then adds the coupling term -K G (X * mask).
+    """
+    n, m = graph.n, model.dim
+    mask = np.ones(m) if coupling.mask is None else coupling.mask
+    neg_kg = -coupling.K * graph.laplacian
+
+    def coupled(x_flat):
+        x = x_flat.reshape(n, m)
+        out = np.empty_like(x)
+        for i in range(n):
+            out[i] = model.field(x[i])
+        out += neg_kg @ (x * mask)
+        return out.ravel()
+
+    return coupled
