@@ -32,7 +32,7 @@ import numpy as np
 
 from . import checks
 from .exceptions import ConfigError, FloqnetError, NumericalError
-from .floquet import _resolve_mask, _trace_side, monodromy
+from .floquet import _resolve_mask, _trace_sides, monodromy
 from .limit_cycle import find_limit_cycle
 from .models import MODEL_NAMES, get_model
 from .msf import _resolve_kappa_grid, default_kappa_grid, msf_sweep
@@ -242,7 +242,7 @@ def _cmd_floquet(args, config):
     lc = find_limit_cycle(model, cfg=cfg)
     mon = monodromy(model, lc, kappa=kappa, mask=mask, cfg=cfg)
     # The monodromy's pass already holds det phi, the identity's left side.
-    lhs, rhs = mon.det, _trace_side(model, lc, kappa, mon.mask)
+    lhs, rhs = mon.det, _trace_sides(model, lc, [kappa], mon.mask)[0]
 
     result = {
         "model": model.name,

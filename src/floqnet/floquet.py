@@ -263,14 +263,16 @@ def _determinant_sides(model, lc, kappas, mask, cfg=None):
     from one variational pass; ``mask`` is resolved."""
     factors = variational_factors(model, lc, kappas, mask, cfg)
     det_phi = np.prod(np.linalg.det(factors), axis=1)
-    return det_phi, [_trace_side(model, lc, kappa, mask) for kappa in kappas]
+    return det_phi, _trace_sides(model, lc, kappas, mask)
 
 
-def _trace_side(model, lc, kappa, mask):
-    """The right side of :func:`ajl_determinant`; ``mask`` is resolved."""
+def _trace_sides(model, lc, kappas, mask):
+    """The right side of :func:`ajl_determinant` at every kappa, from one
+    trace integral; ``mask`` is resolved."""
     traces = np.trace(model.node_jacobian(lc.samples), axis1=1, axis2=2)
-    return float(np.exp(traces.mean() * lc.period)
-                 * np.exp(-float(kappa) * mask.sum() * lc.period))
+    uncoupled = np.exp(traces.mean() * lc.period)
+    return [float(uncoupled * np.exp(-float(kappa) * mask.sum() * lc.period))
+            for kappa in kappas]
 
 
 def lf_decomposition(model: OscillatorModel, lc: LimitCycle,

@@ -8,13 +8,12 @@ excluded from the maximum; at kappa != 0 every multiplier is retained, so
 the instability of negatively coupled modes is visible.  The MSF depends
 on the product K*lambda only, never on K and lambda separately.
 
-With full-state coupling (DH = I) the coupling term commutes with the
-flow, so every multiplier at kappa is the uncoupled one scaled by
-exp(-kappa*T): :func:`msf_sweep` and :func:`sync_predicate` then take one
-uncoupled :func:`~floqnet.floquet.monodromy` and apply
-:func:`~floqnet.floquet.shifted_multipliers_fullstate` at every kappa, of
-either sign (:func:`_fullstate_points`).  Partial masks have no closed
-form and integrate each kappa.
+Sweeps and the predicate evaluate all their kappas in one pass
+(:func:`_points`).  With full-state coupling (DH = I) the coupling term
+commutes with the flow, so every multiplier at kappa is the uncoupled one
+scaled by exp(-kappa*T): one uncoupled :func:`~floqnet.floquet.monodromy`
+answers every kappa, of either sign.  Partial masks have no closed form
+and integrate every kappa in one batched variational pass.
 """
 from __future__ import annotations
 
@@ -118,42 +117,36 @@ def msf_point(model: OscillatorModel, lc: LimitCycle, kappa: float,
     """One MSF sample at effective coupling ``kappa``.
 
     ``kappa`` is normally >= 0 (the curve's domain); negative values are
-    accepted so the synchronization predicate can expose the K < 0
-    instability directly.
+    accepted, as the predicate's pass accepts them at K < 0.  This is the
+    single-kappa integrated reference for :func:`_points`.
     """
     mon = monodromy(model, lc, kappa=kappa, mask=mask, cfg=cfg)
     return _point(mon.kappa, mon.multipliers)
 
 
-def _fullstate_points(model, lc, kappas, cfg):
-    """Full-state (DH = I) MSF samples at every kappa from one uncoupled
-    monodromy and the shift law mu(kappa) = mu(0) * exp(-kappa*T)."""
-    base = monodromy(model, lc, kappa=0.0, cfg=cfg)
-    return [_point(kappa, shifted_multipliers_fullstate(base, kappa))
-            for kappa in kappas]
+def _points(model, lc, kappas, mask, cfg):
+    """MSF samples at every kappa in one pass; ``mask`` is resolved.  A
+    full mask takes the shift law from one uncoupled monodromy.  A partial
+    mask integrates all kappas on one step sequence, set by the most
+    demanding, each point taking its multipliers from its own factors.
+    """
+    if mask.all():
+        base = monodromy(model, lc, kappa=0.0, cfg=cfg)
+        return [_point(kappa, shifted_multipliers_fullstate(base, kappa))
+                for kappa in kappas]
+    factors = variational_factors(model, lc, kappas, mask, cfg)
+    return [_point(kappa, _cyclic_multipliers(segment_factors))
+            for kappa, segment_factors in zip(kappas, factors)]
 
 
 def msf_sweep(model: OscillatorModel, lc: LimitCycle, mask, kappa_grid,
               cfg: IntegratorConfig | None = None) -> MsfCurve:
-    """Evaluate the MSF on a strictly increasing grid of kappa >= 0.
-
-    A full mask takes the shift law from one uncoupled monodromy, whatever
-    the grid.  A partial mask integrates every grid point in one
-    variational pass over the cycle
-    (:func:`~floqnet.floquet.variational_factors`), whose step sequence is
-    set by the most demanding kappa; each point then gets its multipliers
-    from its own segment factors.
-    """
+    """Evaluate the MSF on a strictly increasing grid of kappa >= 0, all
+    in one pass (:func:`_points`)."""
     grid = _resolve_kappa_grid(kappa_grid)
     mask = _resolve_mask(mask, model.dim)
-    if mask.all():
-        points = _fullstate_points(model, lc, grid, cfg)
-    else:
-        factors = variational_factors(model, lc, grid, mask, cfg)
-        points = [_point(kappa, _cyclic_multipliers(segment_factors))
-                  for kappa, segment_factors in zip(grid, factors)]
-    return MsfCurve(points=tuple(points), model_name=model.name, mask=mask,
-                    period=lc.period)
+    return MsfCurve(points=tuple(_points(model, lc, grid, mask, cfg)),
+                    model_name=model.name, mask=mask, period=lc.period)
 
 
 def sync_predicate(model: OscillatorModel, lc: LimitCycle, graph: GraphSpec,
@@ -167,9 +160,8 @@ def sync_predicate(model: OscillatorModel, lc: LimitCycle, graph: GraphSpec,
     K*DH = 0, so the modes decouple and transverse perturbations inherit
     the full uncoupled spectrum, including the unity multiplier.
 
-    A full mask takes every mode from one uncoupled monodromy by the shift
-    law, for either sign of K; a partial mask integrates one MSF point per
-    distinct K*lambda.
+    The distinct K*lambda, of either sign, are evaluated in one pass
+    (:func:`_points`).
 
     Raises :class:`DisconnectedGraph` when lambda_2 <= 1e-10 and
     :class:`InvalidParam` for a non-finite K.
@@ -184,19 +176,13 @@ def sync_predicate(model: OscillatorModel, lc: LimitCycle, graph: GraphSpec,
     if not math.isfinite(K):
         raise InvalidParam(f"coupling gain K must be finite, got {K}")
     kappas = K * np.asarray(lambdas, dtype=float)
-    if mask.all():
-        mu = np.array([p.mu_max for p in
-                       _fullstate_points(model, lc, kappas, cfg)])
-    else:
-        mu = np.empty(graph.n)
-        # lambdas ascend, so equal kappas are neighbours; one MSF point
-        # serves each run of kappas within KAPPA_EQUAL_RTOL of the one
-        # before.
-        for i, kap in enumerate(kappas):
-            if i == 0 or not math.isclose(kap, kappas[i - 1],
-                                          rel_tol=KAPPA_EQUAL_RTOL):
-                mu_kap = msf_point(model, lc, kap, mask=mask, cfg=cfg).mu_max
-            mu[i] = mu_kap
+    # lambdas ascend, so equal kappas are neighbours; one MSF point serves
+    # each run of kappas within KAPPA_EQUAL_RTOL of the one before.
+    first = [i == 0 or not math.isclose(kap, kappas[i - 1],
+                                        rel_tol=KAPPA_EQUAL_RTOL)
+             for i, kap in enumerate(kappas)]
+    points = _points(model, lc, kappas[first], mask, cfg)
+    mu = np.array([p.mu_max for p in points])[np.cumsum(first) - 1]
     synchronizes = bool(K != 0.0 and mask.any() and np.all(mu[1:] < 1.0))
     return SyncVerdict(K=K, synchronizes=synchronizes,
                        lambdas=np.asarray(lambdas, dtype=float), mu_max=mu)

@@ -9,7 +9,7 @@ import pytest
 from floqnet import checks, cli, floquet, network
 from floqnet.cli import load_config, run_subcommand
 from floqnet.exceptions import ConfigError, FixedPointConvergence
-from floqnet.floquet import monodromy
+from floqnet.floquet import variational_factors
 
 SHIPPED_CONFIGS = ["fig1_msf.json", "fig2_full.json", "fig2_partial.json",
                    "fig3_full.json", "fig3_partial.json"]
@@ -451,10 +451,11 @@ class TestVerifyCommand:
 
     def test_injected_sign_flip_fails(self, tmp_path, monkeypatch):
         # The direct route of the shift law integrates at -kappa.
-        def flipped(model, lc, kappa=0.0, **kwargs):
-            return monodromy(model, lc, kappa=-kappa, **kwargs)
+        def flipped(model, lc, kappas, *args, **kwargs):
+            return variational_factors(model, lc, [-k for k in kappas],
+                                       *args, **kwargs)
 
-        monkeypatch.setattr(checks, "monodromy", flipped)
+        monkeypatch.setattr(checks, "variational_factors", flipped)
         monkeypatch.chdir(tmp_path)
         rc = run_subcommand(["verify", "--quick", "--out", "broken"])
         assert rc == 1

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from floqnet import floquet, limit_cycle, linalg
+from floqnet import checks, floquet, limit_cycle, linalg
 from floqnet.exceptions import ClosureDrift, DimensionMismatch, \
     InvalidParam
 from floqnet.floquet import ajl_determinant, lf_decomposition, monodromy, \
-    shifted_multipliers_fullstate
+    shifted_multipliers_fullstate, variational_factors
 from floqnet.models import get_model
 from floqnet.msf import _point, default_kappa_grid, msf_sweep
 from floqnet.ode import IntegratorConfig, _final_state
@@ -120,6 +120,19 @@ class TestShiftLaw:
             predicted = shifted_multipliers_fullstate(base, kappa)
             rel = np.abs(direct.multipliers - predicted) / np.abs(predicted)
             assert rel.max() < 1e-6, f"kappa={kappa}: {rel.max():.3g}"
+
+    def test_shift_law_error_is_one_variational_pass(self, vdp, vdp_cycle,
+                                                     monkeypatch):
+        calls = []
+
+        def counted(model, lc, kappas, *args, **kwargs):
+            calls.append(len(kappas))
+            return variational_factors(model, lc, kappas, *args, **kwargs)
+
+        monkeypatch.setattr(checks, "variational_factors", counted)
+        assert checks.shift_law_error(vdp, vdp_cycle,
+                                      (0.25, 0.5, 1.0, 2.0)) < 1e-6
+        assert calls == [4]
 
     def test_requires_uncoupled_base(self, vdp, vdp_cycle):
         shifted_base = monodromy(vdp, vdp_cycle, kappa=0.5)

@@ -9,7 +9,7 @@ from floqnet.floquet import _cyclic_multipliers, monodromy, \
     shifted_multipliers_fullstate, variational_factors
 from floqnet.msf import _point, default_kappa_grid, msf_point, msf_sweep, \
     sync_predicate
-from floqnet.network import complete_graph, from_adjacency
+from floqnet.network import complete_graph, from_adjacency, ring_graph
 
 VDP_MU2_REF = 8.596950636061e-04
 
@@ -33,6 +33,19 @@ def _count_monodromies(monkeypatch):
         return monodromy(*args, **kwargs)
 
     monkeypatch.setattr(floqnet.msf, "monodromy", counted)
+    return calls
+
+
+def _count_variational_passes(monkeypatch):
+    """Record the kappas of every ``variational_factors`` call the msf
+    module makes."""
+    calls = []
+
+    def counted(model, lc, kappas, *args, **kwargs):
+        calls.append(np.asarray(kappas))
+        return variational_factors(model, lc, kappas, *args, **kwargs)
+
+    monkeypatch.setattr(floqnet.msf, "variational_factors", counted)
     return calls
 
 
@@ -172,20 +185,52 @@ class TestSyncPredicate:
         b = msf_point(vdp, vdp_cycle, 1.0 * 2.0, mask=[0, 1])
         assert a.mu_max == b.mu_max  # bit-identical
 
-    def test_one_monodromy_per_distinct_kappa(self, vdp, vdp_cycle,
-                                              monkeypatch):
-        # complete_graph(32): lambda = 0 once and 32 (to rounding) 31 times.
-        # A partial mask integrates each distinct kappa.
-        calls = _count_monodromies(monkeypatch)
-        graph = complete_graph(32)
+    @pytest.mark.parametrize("graph, distinct", [
+        (complete_graph(32), 2), (ring_graph(5), 3), (_path_graph(5), 5),
+    ], ids=["complete32", "ring5", "path5"])
+    def test_partial_mask_is_one_pass_over_distinct_kappas(
+            self, vdp, vdp_cycle, monkeypatch, graph, distinct):
+        # complete_graph(32): lambda = 0 once and 32 (to rounding) 31
+        # times; ring_graph(5): 0 and two double eigenvalues.
+        calls = _count_variational_passes(monkeypatch)
         k = 0.1
         verdict = sync_predicate(vdp, vdp_cycle, graph, k, mask=[0, 1])
-        assert len(calls) == 2
+        assert [len(kappas) for kappas in calls] == [distinct]
         assert verdict.synchronizes
         assert verdict.mu_max[0] == pytest.approx(VDP_MU2_REF, rel=1e-6)
-        expected = _point(calls[1], monodromy(
-            vdp, vdp_cycle, kappa=calls[1], mask=[0, 1]).multipliers).mu_max
-        assert np.all(verdict.mu_max[1:] == expected)
+        for lam, mu in zip(verdict.lambdas, verdict.mu_max):
+            expected = msf_point(vdp, vdp_cycle, k * lam, mask=[0, 1]).mu_max
+            assert mu == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("mask", ["full", "partial"])
+    @pytest.mark.parametrize("name, cycle, K", [
+        ("vdp", "vdp_cycle", 0.3), ("repressilator", "rep_cycle", 0.5),
+    ], ids=["vdp", "repressilator"])
+    def test_matches_sweep_over_distinct_kappas_bitwise(
+            self, request, name, cycle, K, mask):
+        # One evaluator serves both: the sweep on the predicate's distinct
+        # kappas returns its per-mode values bit for bit.
+        model = request.getfixturevalue(name)
+        lc = request.getfixturevalue(cycle)
+        mask = None if mask == "full" else np.tile([0.0, 1.0], model.dim // 2)
+        verdict = sync_predicate(model, lc, ring_graph(5), K, mask=mask)
+        curve = msf_sweep(model, lc, mask, K * verdict.lambdas[[0, 1, 3]])
+        assert np.array_equal(verdict.mu_max, curve.mu_max[[0, 1, 1, 2, 2]])
+
+    @pytest.mark.parametrize("name, cycle", [("vdp", "vdp_cycle"),
+                                             ("repressilator", "rep_cycle")],
+                             ids=["vdp", "repressilator"])
+    def test_partial_mask_negative_gain_matches_msf_point(
+            self, request, name, cycle):
+        # The sweep refuses kappa < 0; the predicate's pass takes it.
+        model = request.getfixturevalue(name)
+        lc = request.getfixturevalue(cycle)
+        mask = np.tile([0.0, 1.0], model.dim // 2)
+        verdict = sync_predicate(model, lc, ring_graph(5), -0.2, mask=mask)
+        assert not verdict.synchronizes
+        for lam, mu in zip(verdict.lambdas, verdict.mu_max):
+            expected = msf_point(model, lc, -0.2 * lam, mask=mask).mu_max
+            assert mu == pytest.approx(expected, rel=1e-8)
 
     def test_disconnected_graph_rejected(self, vdp, vdp_cycle):
         two_pairs = np.zeros((4, 4))
@@ -281,6 +326,8 @@ class TestFullStateShiftLaw:
     def test_non_finite_gain_refused_before_integration(
             self, vdp, vdp_cycle, monkeypatch, mask, K):
         calls = _count_monodromies(monkeypatch)
+        passes = _count_variational_passes(monkeypatch)
         with pytest.raises(InvalidParam):
             sync_predicate(vdp, vdp_cycle, complete_graph(3), K, mask=mask)
         assert calls == []
+        assert passes == []
