@@ -43,6 +43,7 @@ from .ode import IntegratorConfig
 __all__ = ["main", "run_subcommand", "verify_all", "load_config"]
 
 SYNC_THRESHOLD = 1e-3
+_CSV_ROWS = 256  # rows per block of CSV text
 
 # ---------------------------------------------------------------------------
 # config handling
@@ -186,13 +187,14 @@ def _graph_from(config):
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _write_atomic(path, text):
+def _write_atomic(path, chunks):
+    """Write the text ``chunks`` to ``path`` via a renamed temporary file."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -202,16 +204,20 @@ def _write_atomic(path, text):
 
 def _write_csv(path, header, table):
     # 17 significant digits round-trip any double; plain '.' decimal.
-    # One %-format per row, each row's Python floats made as it is
-    # written, so no second copy of the whole table is held.
-    row = ",".join(["%.17g"] * table.shape[1])
-    lines = [",".join(header)]
-    lines += [row % tuple(values.tolist()) for values in table]
-    _write_atomic(path, "\n".join(lines) + "\n")
+    # Formatted in blocks of _CSV_ROWS rows, never the whole table's text.
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+
+    def chunks():
+        yield ",".join(header) + "\n"
+        for lo in range(0, len(table), _CSV_ROWS):
+            yield "".join(row % tuple(values)
+                          for values in table[lo:lo + _CSV_ROWS].tolist())
+
+    _write_atomic(path, chunks())
 
 
 def _write_json(path, obj):
-    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +322,8 @@ def _cmd_msf(args, config):
         curve.kappas, curve.mu_max,
         np.array([point.multipliers for point in curve.points]).view(float)]))
     if args.emit_plot_script:
-        _write_atomic(out + ".gp", _GNUPLOT_TEMPLATE.format(
-            csv=os.path.basename(out + ".csv")))
+        _write_atomic(out + ".gp", [_GNUPLOT_TEMPLATE.format(
+            csv=os.path.basename(out + ".csv"))])
     print(json.dumps({"model": model.name, "points": grid.size,
                       "mu_max_first": curve.points[0].mu_max,
                       "mu_max_last": curve.points[-1].mu_max},

@@ -6,9 +6,9 @@ of DH @ (x_j - x_i), i.e. the stacked field X' = F(X) - K (G kron DH) X for
 Laplacian G.  It vanishes identically on the synchronization manifold
 X = 1_n kron x, and K > 0 is the stabilizing sign.
 
-Coupling activation is handled by two-phase integration (uncoupled until
-the activation time, coupled afterwards, continuous state) so adaptive
-error control never straddles the switch.
+Coupling activation is handled by two-phase integration (the plain node
+field until the activation time, the coupled field afterwards, continuous
+state) so adaptive error control never straddles the switch.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 from .exceptions import DimensionMismatch, InvalidAdjacency, InvalidParam
 from .floquet import _resolve_mask
 from .models import OscillatorModel
-from .ode import IntegratorConfig, integrate
+from .ode import IntegratorConfig, _sample
 
 __all__ = [
     "GraphSpec",
@@ -197,7 +197,8 @@ def simulate_network(model: OscillatorModel, graph: GraphSpec,
 
     Integration is uncoupled on [0, activation_time] and coupled on
     [activation_time, t_end], with continuous state across the switch.
-    States and the synchronization error are reported on a uniform grid.
+    States and the synchronization error are reported on a uniform grid,
+    filled as each phase integrates, so memory follows the grid.
 
     Integrator failures propagate; in particular a K < 0 run is expected
     to end in :class:`~floqnet.exceptions.Blowup`, which callers probing
@@ -219,21 +220,19 @@ def simulate_network(model: OscillatorModel, graph: GraphSpec,
     if output_points < 1:
         raise InvalidParam(f"output_points must be >= 1, got {output_points}")
 
-    uncoupled = assemble_coupled_field(
-        model, graph, CouplingSpec(K=0.0, mask=coupling.mask)
-    )
     coupled = assemble_coupled_field(model, graph, coupling)
 
+    def uncoupled(x_flat):
+        return model.node_field(x_flat.reshape(n, m)).ravel()
+
     times = np.linspace(0.0, float(t_end), output_points)
-    on = times >= t_on
+    split = np.searchsorted(times, t_on)  # times[split:] >= t_on
     states = np.empty((output_points, n * m))
     x_on = x0
     if t_on > 0:
-        phase1 = integrate(uncoupled, x0, (0.0, t_on), cfg)
-        states[~on] = phase1.eval(times[~on])
-        x_on = phase1.states[-1].copy()
-        del phase1  # phase 2 runs without phase 1's dense store
-    phase2 = integrate(coupled, x_on, (t_on, float(t_end)), cfg)
-    states[on] = phase2.eval(times[on])
+        x_on = _sample(uncoupled, x0, (0.0, t_on), times[:split],
+                       states[:split], cfg)
+    _sample(coupled, x_on, (t_on, float(t_end)), times[split:],
+            states[split:], cfg)
     sync = sync_error(times, states, n, m)
     return NetworkRun(times=times, states=states, sync=sync)

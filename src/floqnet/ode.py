@@ -60,7 +60,7 @@ _D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
 _A_ROWS = [_A[i, :i] for i in range(7)]
 _EPS = np.finfo(float).eps
 
-# Grid points per block of dense evaluation.
+# Grid points per block of dense evaluation; steps per streamed run.
 _EVAL_BLOCK = 256
 
 _MIN_FACTOR = 0.2
@@ -302,6 +302,40 @@ def _refine_crossing(event, coeffs, t_lo, h):
     return t_lo + 0.5 * (a + b) * h
 
 
+def _trajectories(field, x0, t_span, cfg, block=math.inf):
+    """Yield the :class:`Trajectory` of each run of at most ``block``
+    consecutive accepted steps of one integration, in order.  Neighbouring
+    runs share their boundary node; the last ends on t1."""
+    shape = np.shape(x0)
+    times, states = [float(t_span[0])], [np.asarray(x0, dtype=float).ravel()]
+    slopes, quartic, hs = [], [], []
+    for t, h, y, y_new, k in _integrate_core(field, x0, t_span, cfg):
+        if len(hs) == block:  # the run ends on this step's start node
+            slopes.append(k[0].copy())
+            yield _trajectory(times, states, slopes, quartic, hs, shape)
+            times.append(t)
+            states.append(y)
+        times.append(t + h)
+        states.append(y_new)
+        slopes.append(k[0].copy())
+        quartic.append(_quartic_row(h, k))
+        hs.append(h)
+    slopes.append(k[6].copy())  # the last node's; every span takes a step
+    times[-1] = float(t_span[1])  # t + h of the last step may round off it
+    yield _trajectory(times, states, slopes, quartic, hs, shape)
+
+
+def _trajectory(times, states, slopes, quartic, hs, shape):
+    """The :class:`Trajectory` of a run's row lists, each emptied once
+    stacked so its rows go before the next list is stacked."""
+    def stack(rows, row_shape=shape):
+        out = np.array(rows).reshape((-1,) + row_shape)
+        rows.clear()
+        return out
+    return Trajectory(stack(times, ()), stack(states), stack(slopes),
+                      stack(quartic), stack(hs, ()))
+
+
 def integrate(field, x0, t_span, cfg=None):
     """Integrate ``dx/dt = field(x)`` over ``t_span = (t0, t1)``.
 
@@ -310,23 +344,19 @@ def integrate(field, x0, t_span, cfg=None):
     output whose last node is t1.  Raises :class:`StepFailure`,
     :class:`Blowup`, or :class:`StepBudgetExceeded` on those failures.
     """
-    shape = np.shape(x0)
-    times, states = [float(t_span[0])], [np.asarray(x0, dtype=float).ravel()]
-    slopes, quartic, hs = [], [], []
-    for t, h, y, y_new, k in _integrate_core(field, x0, t_span,
-                                             cfg or IntegratorConfig()):
-        times.append(t + h)
-        states.append(y_new)
-        slopes.append(k[0].copy())
-        quartic.append(_quartic_row(h, k))
-        hs.append(h)
-    slopes.append(k[6].copy())  # the last node's; every span takes a step
-    times[-1] = float(t_span[1])  # t + h of the last step may round off it
-    # Rebinding drops each list of rows before the next is stacked.
-    states = np.array(states).reshape((-1,) + shape)
-    slopes = np.array(slopes).reshape((-1,) + shape)
-    quartic = np.array(quartic).reshape((-1,) + shape)
-    return Trajectory(np.array(times), states, slopes, quartic, np.array(hs))
+    return next(_trajectories(field, x0, t_span, cfg or IntegratorConfig()))
+
+
+def _sample(field, x0, t_span, times, out, cfg):
+    """Fill ``out`` with one integration's states at the sorted ``times``
+    within ``t_span``, evaluating each run of :data:`_EVAL_BLOCK` steps
+    as it ends and then dropping it; return the final state."""
+    lo = 0
+    for traj in _trajectories(field, x0, t_span, cfg, _EVAL_BLOCK):
+        hi = np.searchsorted(times, traj.times[-1], side="right")
+        out[lo:hi] = traj.eval(times[lo:hi])
+        lo = hi
+    return traj.states[-1].copy()
 
 
 def integrate_with_events(field, x0, t_span, cfg=None, event=None):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 
 from floqnet.limit_cycle import LimitCycle, _section
+from floqnet.network import CouplingSpec, assemble_coupled_field
 from floqnet.ode import IntegratorConfig, _dense_coeffs, _dense_eval, \
     _final_state, _integrate_core, _quartic_row, _refine_crossing, integrate
 
@@ -189,3 +190,35 @@ def per_node_coupled_field(model, graph, coupling):
         return out.ravel()
 
     return coupled
+
+
+def stored_network_states(model, graph, coupling, x0, t_end, cfg=None,
+                          output_points=2000):
+    """The stored two-phase route that streaming replaced, the oracle for
+    :func:`floqnet.network.simulate_network`'s grid.
+
+    Each phase is one whole :func:`integrate`, the K = 0 coupled field
+    before activation and the coupled field after it, and the grid is
+    evaluated on its :class:`~floqnet.ode.Trajectory`.  Returns the grid
+    times, the (output_points, n*m) states and the accepted step count of
+    each phase.
+    """
+    cfg = cfg or IntegratorConfig()
+    x0 = np.asarray(x0, dtype=float).ravel()
+    t_on = float(coupling.activation_time)
+    uncoupled = assemble_coupled_field(
+        model, graph, CouplingSpec(K=0.0, mask=coupling.mask))
+    coupled = assemble_coupled_field(model, graph, coupling)
+    times = np.linspace(0.0, float(t_end), output_points)
+    on = times >= t_on
+    states = np.empty((output_points, x0.size))
+    x_on, steps = x0, []
+    if t_on > 0:
+        phase1 = integrate(uncoupled, x0, (0.0, t_on), cfg)
+        states[~on] = phase1.eval(times[~on])
+        x_on = phase1.states[-1].copy()
+        steps.append(phase1.times.size - 1)
+    phase2 = integrate(coupled, x_on, (t_on, float(t_end)), cfg)
+    states[on] = phase2.eval(times[on])
+    steps.append(phase2.times.size - 1)
+    return times, states, steps

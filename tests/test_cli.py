@@ -235,15 +235,59 @@ class TestMsfCommand:
 
 
 def test_csv_rows_match_per_value_format(tmp_path):
-    # The row-at-a-time writer against formatting every value on its own.
+    # The block writer against formatting every value on its own, over a
+    # table of 601 rows: two full blocks of rows and part of a third.
     values = [-0.0, 5e-324, 1e308, np.nan, np.inf, -np.inf, 0.1, -1 / 3]
-    table = np.array([values, values[::-1]])
+    table = np.array([np.roll(values, i) for i in range(601)])
+    assert len(table) > 2 * cli._CSV_ROWS
     path = tmp_path / "table.csv"
     cli._write_csv(str(path), [f"c{j}" for j in range(len(values))], table)
     expected = ",".join(f"c{j}" for j in range(len(values))) + "\n" + "".join(
         ",".join(format(float(v), ".17g") for v in row) + "\n"
         for row in table)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+class _FailingFile:
+    """A text file whose ``fail_at``-th write raises, as on a full disk."""
+
+    def __init__(self, fh, fail_at):
+        self.fh, self.fail_at, self.writes = fh, fail_at, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise OSError("no space left on device")
+        return self.fh.write(text)
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+
+@pytest.mark.parametrize("failure", ["write", "replace"])
+def test_failed_csv_write_leaves_no_file(tmp_path, monkeypatch, failure):
+    # A write that fails after the header and the first block of rows, or
+    # a failing rename, leaves neither the target nor a temporary file.
+    if failure == "write":
+        fdopen = cli.os.fdopen
+        monkeypatch.setattr(cli.os, "fdopen", lambda *args, **kwargs:
+                            _FailingFile(fdopen(*args, **kwargs), 3))
+    else:
+        def no_replace(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(cli.os, "replace", no_replace)
+    table = np.arange(3.0 * 600).reshape(600, 3)
+    with pytest.raises(OSError):
+        cli._write_csv(str(tmp_path / "table.csv"), ["a", "b", "c"], table)
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestSimulateCommand:
@@ -324,7 +368,7 @@ class TestSimulateCommand:
         def no_integration(*args, **kwargs):
             raise AssertionError("integrated an invalid config")
 
-        monkeypatch.setattr(network, "integrate", no_integration)
+        monkeypatch.setattr(network, "_sample", no_integration)
         monkeypatch.chdir(tmp_path)
         config = {"model": {"name": "vdp"}, "initial": [0, 1, 2, 3, 4, 5],
                   "graph": {"kind": "complete", "n": 3},

@@ -1,5 +1,6 @@
 """Tests for graph construction, coupled-field assembly, network
 simulation, and the synchronization error metric."""
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -12,8 +13,8 @@ from floqnet.exceptions import Blowup, DimensionMismatch, InvalidAdjacency, \
 from floqnet.models import repressilator_model, vdp_model
 from floqnet.network import CouplingSpec, assemble_coupled_field, \
     complete_graph, from_adjacency, ring_graph, simulate_network, sync_error
-from floqnet.ode import IntegratorConfig, integrate
-from oracles import per_node_coupled_field
+from floqnet.ode import _EVAL_BLOCK, IntegratorConfig, integrate
+from oracles import per_node_coupled_field, stored_network_states
 
 EQ13_LAPLACIAN = np.array([[2.0, -1.0, -1.0],
                            [-1.0, 2.0, -1.0],
@@ -226,7 +227,7 @@ def test_non_finite_end_rejected_before_integrating(vdp, fig2_initial,
     def no_integration(*args, **kwargs):
         raise AssertionError("integrated with a non-finite end time")
 
-    monkeypatch.setattr(network, "integrate", no_integration)
+    monkeypatch.setattr(network, "_sample", no_integration)
     with pytest.raises(InvalidParam):
         simulate_network(vdp, complete_graph(3),
                          CouplingSpec(K=1.0, mask=[1, 1]), fig2_initial,
@@ -294,7 +295,7 @@ class TestSimulation:
         def no_integration(*args, **kwargs):
             raise AssertionError("integrated with an invalid output grid")
 
-        monkeypatch.setattr(network, "integrate", no_integration)
+        monkeypatch.setattr(network, "_sample", no_integration)
         with pytest.raises(InvalidParam):
             simulate_network(vdp, complete_graph(3),
                              CouplingSpec(K=1.0, mask=[1, 1]), fig2_initial,
@@ -370,6 +371,92 @@ class TestSimulation:
                 vdp, complete_graph(3),
                 CouplingSpec(K=1.0, mask=[1, 1]), np.zeros(5), 30.0
             )
+
+
+class TestStreamedGrid:
+    """``simulate_network`` fills its grid while it integrates, holding at
+    most one run of ``_EVAL_BLOCK`` steps of dense output; every row is bit
+    for bit the stored two-phase route's (``oracles.stored_network_states``).
+    Every case has a phase of more than one run, so its grid crosses run
+    boundaries."""
+
+    @pytest.mark.parametrize("name,initial,mask,t_on,points,t_end", [
+        ("vdp", "fig2_initial", None, 20.0, 2000, 40.0),
+        ("vdp", "fig2_initial", [1, 0], 0.0, 7, 40.0),
+        # linspace(0, 60, 7) has 20 = t_on as a grid time.
+        ("vdp", "fig2_initial", [0, 1], 20.0, 7, 60.0),
+        ("vdp", "fig2_initial", None, 0.0, 1, 40.0),
+        ("repressilator", "fig3_initial", None, 20.0, 1, 40.0),
+        ("repressilator", "fig3_initial", [1, 0, 0, 0, 0, 0], 0.0, 2000,
+         40.0),
+        ("repressilator", "fig3_initial", [0, 1, 0, 1, 0, 1], 20.0, 7,
+         60.0),
+    ])
+    def test_matches_stored_route_bitwise(self, request, name, initial,
+                                          mask, t_on, points, t_end):
+        model = request.getfixturevalue(name)
+        x0 = request.getfixturevalue(initial)
+        coupling = CouplingSpec(K=1.0, mask=mask, activation_time=t_on)
+        run = simulate_network(model, complete_graph(3), coupling, x0, t_end,
+                               output_points=points)
+        times, states, steps = stored_network_states(
+            model, complete_graph(3), coupling, x0, t_end,
+            output_points=points)
+        assert max(steps) > _EVAL_BLOCK
+        assert np.array_equal(run.times, times)
+        assert np.array_equal(run.states, states)
+        # A one-point grid is {0}; longer ones end on t_end.
+        assert run.times[-1] == (t_end if points > 1 else 0.0)
+        if points == 7 and t_on > 0:
+            assert t_on in run.times
+
+    def test_blowup_matches_stored_route(self, rotation):
+        # K < 0 on the linear rotation grows without stiffness, so the run
+        # ends in Blowup within seconds, in phase 2.
+        coupling = CouplingSpec(K=-5.0, mask=[1, 0], activation_time=1.0)
+        args = (rotation, complete_graph(3), coupling, np.arange(6.0), 20.0)
+        with pytest.raises(Blowup) as streamed:
+            simulate_network(*args)
+        with pytest.raises(Blowup) as stored:
+            stored_network_states(*args)
+        assert streamed.value.t == stored.value.t > 1.0
+        assert np.array_equal(streamed.value.state, stored.value.state)
+
+    @pytest.mark.parametrize("max_steps", [30, 200])  # phase 1, phase 2
+    def test_step_budget_matches_stored_route(self, vdp, fig2_initial,
+                                              max_steps):
+        args = (vdp, complete_graph(3),
+                CouplingSpec(K=1.0, mask=[1, 1], activation_time=1.0),
+                fig2_initial, 40.0, IntegratorConfig(max_steps=max_steps))
+        with pytest.raises(StepBudgetExceeded) as streamed:
+            simulate_network(*args)
+        with pytest.raises(StepBudgetExceeded) as stored:
+            stored_network_states(*args)
+        assert str(streamed.value) == str(stored.value)
+
+    def test_memory_follows_the_grid_not_the_step_count(self, vdp):
+        # vdp on complete_graph(32), 2000 grid points: the grid is
+        # 2000 * 64 doubles = 1.02 MB.  Over it, a streamed run peaked at
+        # 1.95 MB (t_end = 30) and 1.78 MB (t_end = 60) on NumPy 2, most of
+        # it one _EVAL_BLOCK of grid evaluation and one run of steps.  A
+        # stored route keeps 1544 B per accepted step, about 48 steps per
+        # time unit here: it peaked at 4.82 and 6.34 MB.
+        graph, coupling = complete_graph(32), CouplingSpec(K=0.05,
+                                                           mask=[1, 1])
+        x0 = np.random.default_rng(0).uniform(-2.0, 2.0, 64)
+        grid_bytes = 2000 * 64 * 8
+        allowance = 2.5e6
+        simulate_network(vdp, graph, coupling, x0, 1.0, output_points=10)
+        peaks = []
+        for t_end in (30.0, 60.0):
+            tracemalloc.start()
+            try:
+                simulate_network(vdp, graph, coupling, x0, t_end)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < grid_bytes + allowance, peaks
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 class TestNecessity:

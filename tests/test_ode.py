@@ -7,9 +7,9 @@ import pytest
 from floqnet.exceptions import Blowup, DimensionMismatch, InvalidParam, \
     OutOfRange, StepBudgetExceeded, StepFailure
 from floqnet.models import vdp_model
-from floqnet.ode import IntegratorConfig, _dense_coeffs, _dense_eval, \
-    _final_state, _integrate_core, _quartic_row, integrate, \
-    integrate_with_events
+from floqnet.ode import _EVAL_BLOCK, IntegratorConfig, _dense_coeffs, \
+    _dense_eval, _final_state, _integrate_core, _quartic_row, _sample, \
+    integrate, integrate_with_events
 from oracles import section_crossings
 
 
@@ -275,6 +275,26 @@ class TestDenseOutput:
         steps = traj.times.size - 1
         assert steps >= 1000
         assert retained <= steps * (3 * 64 * 8 + 16) + 64 * 1024
+
+    def test_streamed_sample_matches_stored_eval(self):
+        # _sample holds one run of _EVAL_BLOCK steps at a time.  At node
+        # times on and beside run boundaries, between them, on a uniform
+        # grid and at both span ends, its rows are bit for bit those of the
+        # whole trajectory's eval, and so is its final state.
+        span, x0 = (0.0, 60.0), [2.0, 0.0]
+        traj = integrate(vdp_field, x0, span)
+        steps = traj.times.size - 1
+        assert steps > 2 * _EVAL_BLOCK
+        nodes = traj.times[[0, 1, _EVAL_BLOCK - 1, _EVAL_BLOCK,
+                            _EVAL_BLOCK + 1, 2 * _EVAL_BLOCK, steps]]
+        around = traj.times[_EVAL_BLOCK - 1:_EVAL_BLOCK + 2]
+        ts = np.unique(np.concatenate([
+            nodes, 0.5 * (around[1:] + around[:-1]),
+            np.linspace(*span, 997)]))
+        out = np.empty((ts.size, 2))
+        final = _sample(vdp_field, x0, span, ts, out, IntegratorConfig())
+        assert np.array_equal(out, traj.eval(ts))
+        assert np.array_equal(final, traj.states[-1])
 
     def test_constant_midpoint(self):
         traj = integrate(lambda x: np.zeros(1), [4.0], (0.0, 2.0))
