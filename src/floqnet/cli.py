@@ -27,6 +27,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,8 +37,8 @@ from .floquet import _resolve_mask, _trace_sides, monodromy
 from .limit_cycle import find_limit_cycle
 from .models import MODEL_NAMES, get_model
 from .msf import _resolve_kappa_grid, default_kappa_grid, msf_sweep
-from .network import CouplingSpec, complete_graph, from_adjacency, \
-    ring_graph, simulate_network
+from .network import SIMULATE_INTEGRATOR, CouplingSpec, complete_graph, \
+    from_adjacency, ring_graph, simulate_network
 from .ode import IntegratorConfig
 
 __all__ = ["main", "run_subcommand", "verify_all", "load_config"]
@@ -140,10 +141,11 @@ def _model_from(args, config):
     return get_model(section.get("name", ""), params)
 
 
-def _integrator_from(args, config):
-    return IntegratorConfig(**_given(config.get("integrator"),
-                                     rel_tol=args.rel_tol,
-                                     abs_tol=args.abs_tol))
+def _integrator_from(args, config, base):
+    """The subcommand's ``base`` config with the config's integrator
+    section, then each given flag, over it key by key."""
+    return replace(base, **_given(config.get("integrator"),
+                                  rel_tol=args.rel_tol, abs_tol=args.abs_tol))
 
 
 def _floats_from(values, what):
@@ -225,7 +227,7 @@ def _write_json(path, obj):
 
 def _cmd_limit_cycle(args, config):
     model = _model_from(args, config)
-    cfg = _integrator_from(args, config)
+    cfg = _integrator_from(args, config, IntegratorConfig())
     # A config's ``initial`` is a network state for ``simulate``.
     x0 = None if args.x0 is None else _floats_from(args.x0, "--x0")
     lc = find_limit_cycle(model, x0=x0, cfg=cfg)
@@ -242,7 +244,7 @@ def _cmd_limit_cycle(args, config):
 
 def _cmd_floquet(args, config):
     model = _model_from(args, config)
-    cfg = _integrator_from(args, config)
+    cfg = _integrator_from(args, config, IntegratorConfig())
     coupling = _coupling_from(config, model.dim, K=args.kappa, mask=args.mask)
     kappa, mask = coupling.K, coupling.mask
     lc = find_limit_cycle(model, cfg=cfg)
@@ -282,7 +284,7 @@ plot '{csv}' using 1:2 skip 1 with linespoints, f(x) with lines dashtype 2
 
 def _cmd_msf(args, config):
     model = _model_from(args, config)
-    cfg = _integrator_from(args, config)
+    cfg = _integrator_from(args, config, IntegratorConfig())
     section = _given(config.get("msf"), kappa_min=args.kappa_min,
                      kappa_max=args.kappa_max, points=args.points,
                      spacing=args.spacing)
@@ -335,7 +337,7 @@ def _cmd_simulate(args, config):
     if not args.config:
         raise ConfigError("simulate requires --config")
     model = _model_from(args, config)
-    cfg = _integrator_from(args, config)
+    cfg = _integrator_from(args, config, SIMULATE_INTEGRATOR)
     graph = _graph_from(config)
     if "coupling" not in config:
         raise ConfigError("config is missing the 'coupling' section")

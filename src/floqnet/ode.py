@@ -17,9 +17,14 @@ which is all this package needs; time-dependence such as coupling
 activation is handled by piecewise integration at the call site so error
 control never straddles a discontinuity.
 
-Defaults are deliberately tight (rel 1e-9 / abs 1e-11): monodromy
-computations amplify one-period trajectory error directly into Floquet
-multiplier error.
+``IntegratorConfig``'s defaults are deliberately tight (rel 1e-9 /
+abs 1e-11) and serve the spectral route (limit cycle, monodromy, MSF):
+those computations amplify one-period trajectory error directly into
+Floquet multiplier error.  The time-domain route answers a coarser
+question, a final synchronization error against 1e-3, so network
+simulation defaults to ``network.SIMULATE_INTEGRATOR`` (rel 1e-7 /
+abs 1e-9) instead: the global error scales with the tolerance and stays
+orders of magnitude below that threshold.
 """
 from __future__ import annotations
 

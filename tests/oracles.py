@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 
 from floqnet.limit_cycle import LimitCycle, _section
-from floqnet.network import CouplingSpec, assemble_coupled_field
+from floqnet.network import SIMULATE_INTEGRATOR, CouplingSpec, \
+    assemble_coupled_field
 from floqnet.ode import IntegratorConfig, _dense_coeffs, _dense_eval, \
     _final_state, _integrate_core, _quartic_row, _refine_crossing, integrate
 
@@ -201,9 +202,10 @@ def stored_network_states(model, graph, coupling, x0, t_end, cfg=None,
     before activation and the coupled field after it, and the grid is
     evaluated on its :class:`~floqnet.ode.Trajectory`.  Returns the grid
     times, the (output_points, n*m) states and the accepted step count of
-    each phase.
+    each phase.  ``cfg`` defaults to the simulation's own default,
+    :data:`~floqnet.network.SIMULATE_INTEGRATOR`.
     """
-    cfg = cfg or IntegratorConfig()
+    cfg = cfg or SIMULATE_INTEGRATOR
     x0 = np.asarray(x0, dtype=float).ravel()
     t_on = float(coupling.activation_time)
     uncoupled = assemble_coupled_field(

@@ -10,6 +10,10 @@ from floqnet import checks, cli, floquet, network
 from floqnet.cli import load_config, run_subcommand
 from floqnet.exceptions import ConfigError, FixedPointConvergence
 from floqnet.floquet import variational_factors
+from floqnet.models import get_model
+from floqnet.network import SIMULATE_INTEGRATOR, CouplingSpec, \
+    complete_graph, simulate_network
+from floqnet.ode import IntegratorConfig
 
 SHIPPED_CONFIGS = ["fig1_msf.json", "fig2_full.json", "fig2_partial.json",
                    "fig3_full.json", "fig3_partial.json"]
@@ -381,6 +385,108 @@ class TestSimulateCommand:
         assert run_subcommand(["simulate", "--config", "c.json"]) == 2
         assert "config error" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+def simulated_table(config, cfg):
+    """The rows ``floqnet simulate`` writes for a complete-graph
+    ``config``, computed by :func:`simulate_network` at ``cfg``."""
+    run = simulate_network(
+        get_model(config["model"]["name"], config["model"]["params"]),
+        complete_graph(config["graph"]["n"]),
+        CouplingSpec(**config["coupling"]), config["initial"],
+        config["run"]["t_end"], cfg=cfg,
+        output_points=config["run"]["output_grid_points"])
+    return np.column_stack([run.times, run.states, run.sync.error])
+
+
+class _Called(Exception):
+    """Raised by a spy once it has seen the integrator config."""
+
+
+class TestSimulateTolerance:
+    """``simulate`` merges the config's ``integrator`` section, then each
+    tolerance flag, key by key over ``SIMULATE_INTEGRATOR``; every other
+    subcommand merges them over ``IntegratorConfig()``.  The CSV's 17
+    significant digits round-trip every double, so equal tables are equal
+    bit for bit."""
+
+    @pytest.fixture
+    def unpinned(self, tmp_path, monkeypatch):
+        """fig2_full.json without its ``integrator`` section."""
+        monkeypatch.chdir(tmp_path)
+        config = load_config("fig2_full.json")
+        del config["integrator"]
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        return config
+
+    def test_unpinned_config_simulates_at_simulate_default(self, unpinned,
+                                                           tmp_path):
+        assert run_subcommand(["simulate", "--config", "c.json"]) == 0
+        _, data = read_csv(tmp_path / "simulate.csv")
+        assert np.array_equal(data,
+                              simulated_table(unpinned, SIMULATE_INTEGRATOR))
+        assert not np.array_equal(data,
+                                  simulated_table(unpinned,
+                                                  IntegratorConfig()))
+
+    def test_tolerance_flags_reproduce_the_old_default(self, unpinned,
+                                                       tmp_path):
+        # fig2_full.json pins rel 1e-9 / abs 1e-11, the default that an
+        # unpinned config simulated at before it had its own.
+        assert run_subcommand(["simulate", "--config", "c.json", "--out",
+                               "flags", "--rel-tol", "1e-9",
+                               "--abs-tol", "1e-11"]) == 0
+        assert run_subcommand(["simulate", "--config", "fig2_full.json",
+                               "--out", "pinned"]) == 0
+        for suffix in (".csv", ".json"):
+            assert (tmp_path / ("flags" + suffix)).read_bytes() == \
+                (tmp_path / ("pinned" + suffix)).read_bytes()
+
+    def test_pinned_shipped_config_keeps_its_tolerance(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_subcommand(["simulate", "--config", "fig2_full.json"]) \
+            == 0
+        _, data = read_csv(tmp_path / "simulate.csv")
+        assert np.array_equal(data, simulated_table(
+            load_config("fig2_full.json"), IntegratorConfig()))
+
+    @pytest.mark.parametrize("section,flags,expected", [
+        (None, [], SIMULATE_INTEGRATOR),
+        (None, ["--rel-tol", "1e-8"], IntegratorConfig(1e-8, 1e-9)),
+        (None, ["--abs-tol", "1e-10"], IntegratorConfig(1e-7, 1e-10)),
+        ({"rel_tol": 1e-8}, [], IntegratorConfig(1e-8, 1e-9)),
+        ({"rel_tol": 1e-8}, ["--abs-tol", "1e-10"],
+         IntegratorConfig(1e-8, 1e-10)),
+        ({"rel_tol": 1e-8, "abs_tol": 1e-10}, ["--rel-tol", "1e-6"],
+         IntegratorConfig(1e-6, 1e-10)),
+    ], ids=["default", "rel-flag", "abs-flag", "rel-section",
+            "rel-section-abs-flag", "flag-over-section"])
+    def test_simulate_merges_key_by_key(self, section, flags, expected,
+                                        unpinned, monkeypatch):
+        def spy(*args, cfg, **kwargs):
+            assert cfg == expected
+            raise _Called
+
+        if section is not None:
+            unpinned["integrator"] = section
+            with open("c.json", "w", encoding="utf-8") as fh:
+                json.dump(unpinned, fh)
+        monkeypatch.setattr(cli, "simulate_network", spy)
+        with pytest.raises(_Called):
+            run_subcommand(["simulate", "--config", "c.json", *flags])
+
+    @pytest.mark.parametrize("command", ["limit-cycle", "floquet", "msf"])
+    def test_other_subcommands_merge_over_spectral_default(
+            self, command, unpinned, monkeypatch):
+        def spy(*args, cfg, **kwargs):
+            assert cfg == IntegratorConfig(1e-8, 1e-11)
+            raise _Called
+
+        monkeypatch.setattr(cli, "find_limit_cycle", spy)
+        with pytest.raises(_Called):
+            run_subcommand([command, "--config", "c.json",
+                            "--rel-tol", "1e-8"])
 
 
 class TestConfigs:

@@ -11,8 +11,9 @@ from floqnet import network
 from floqnet.exceptions import Blowup, DimensionMismatch, InvalidAdjacency, \
     InvalidParam, StepBudgetExceeded, StepFailure
 from floqnet.models import repressilator_model, vdp_model
-from floqnet.network import CouplingSpec, assemble_coupled_field, \
-    complete_graph, from_adjacency, ring_graph, simulate_network, sync_error
+from floqnet.network import SIMULATE_INTEGRATOR, CouplingSpec, \
+    assemble_coupled_field, complete_graph, from_adjacency, ring_graph, \
+    simulate_network, sync_error
 from floqnet.ode import _EVAL_BLOCK, IntegratorConfig, integrate
 from oracles import per_node_coupled_field, stored_network_states
 
@@ -275,7 +276,9 @@ class TestSimulation:
             CouplingSpec(K=2.0, mask=[1, 1], activation_time=0.0),
             np.tile(x0_single, 3), 20.0
         )
-        single = integrate(vdp.field, x0_single, (0.0, 20.0))
+        # The reference runs at the network run's own default tolerance.
+        single = integrate(vdp.field, x0_single, (0.0, 20.0),
+                           SIMULATE_INTEGRATOR)
         reference = single.eval(run.times)
         nodes = run.states.reshape(run.times.size, 3, 2)
         for node in range(3):
@@ -457,6 +460,64 @@ class TestStreamedGrid:
                 tracemalloc.stop()
         assert max(peaks) < grid_bytes + allowance, peaks
         assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def _settled_index(error):
+    """First grid index from which the error stays below 1e-3 (the CLI's
+    ``t_converged``), or None."""
+    settled = np.logical_and.accumulate((error < 1e-3)[::-1])[::-1]
+    return int(settled.argmax()) if settled[-1] else None
+
+
+class TestSimulateTolerance:
+    """The simulation default (``SIMULATE_INTEGRATOR``, rel 1e-7 /
+    abs 1e-9) gives the same answer as the spectral route's default
+    (``IntegratorConfig()``, rel 1e-9 / abs 1e-11).
+
+    DOPRI5's global error scales with the tolerance (Hairer, Norsett and
+    Wanner, *Solving ODEs I*, II.4).  Against a rel 1e-12 run, the old
+    default leaves at most 1.1e-8 of a coordinate's range and the new one
+    1.6e-6: the 100-fold looser tolerance, 100-fold the error.  So:
+
+    - states agree within ``STATE_FRAC`` = 1e-4 of each coordinate's
+      range over the run: 60 times the largest gap measured (1.6e-6),
+      which is what a further 100-fold tolerance step would bring;
+    - where e > 1e-3, e agrees within ``SYNC_REL`` = 1e-4 relative (15
+      times the largest gap measured, 6.8e-6).  A relative move that
+      small shifts a threshold crossing only where a grid value of e
+      lies within 1e-4 of 1e-3, so
+    - the verdict (final e < 1e-3) and the ``t_converged`` grid index are
+      equal.
+    """
+
+    STATE_FRAC = 1e-4
+    SYNC_REL = 1e-4
+
+    @pytest.mark.parametrize("name,initial,mask,t_end", [
+        ("vdp", "fig2_initial", [1, 1], 100.0),
+        ("vdp", "fig2_initial", [0, 1], 100.0),
+        ("repressilator", "fig3_initial", None, 140.0),
+        ("repressilator", "fig3_initial", [0, 1, 0, 1, 0, 1], 140.0),
+    ])
+    def test_same_answer_as_spectral_default(self, request, name, initial,
+                                             mask, t_end):
+        model = request.getfixturevalue(name)
+        x0 = request.getfixturevalue(initial)
+        coupling = CouplingSpec(K=1.0, mask=mask, activation_time=20.0)
+        loose, tight = (simulate_network(model, complete_graph(3), coupling,
+                                         x0, t_end, cfg=cfg)
+                        for cfg in (SIMULATE_INTEGRATOR, IntegratorConfig()))
+        assert (loose.sync.final < 1e-3) == (tight.sync.final < 1e-3)
+        assert _settled_index(loose.sync.error) == \
+            _settled_index(tight.sync.error) is not None
+        span = np.ptp(tight.states, axis=0)
+        assert (np.abs(loose.states - tight.states) / span).max() \
+            < self.STATE_FRAC
+        above = tight.sync.error > 1e-3
+        assert above.any()
+        rel = np.abs(loose.sync.error - tight.sync.error)[above] \
+            / tight.sync.error[above]
+        assert rel.max() < self.SYNC_REL
 
 
 class TestNecessity:
