@@ -237,8 +237,7 @@ def shifted_multipliers_fullstate(base: Monodromy, kappa: float) -> np.ndarray:
 
 
 def ajl_determinant(model: OscillatorModel, lc: LimitCycle,
-                    kappa: float = 0.0, mask=None,
-                    cfg: IntegratorConfig | None = None):
+                    kappa: float = 0.0, mask=None):
     """Both sides of the transition-matrix determinant identity over one
     period:
 
@@ -254,14 +253,14 @@ def ajl_determinant(model: OscillatorModel, lc: LimitCycle,
     Raises :class:`ClosureDrift` as :func:`monodromy` does.
     """
     det_phi, rhs = _determinant_sides(
-        model, lc, [kappa], _resolve_mask(mask, model.dim), cfg)
+        model, lc, [kappa], _resolve_mask(mask, model.dim))
     return float(det_phi[0]), rhs[0]
 
 
-def _determinant_sides(model, lc, kappas, mask, cfg=None):
+def _determinant_sides(model, lc, kappas, mask):
     """Both sides of :func:`ajl_determinant` at every kappa, the left ones
     from one variational pass; ``mask`` is resolved."""
-    factors = variational_factors(model, lc, kappas, mask, cfg)
+    factors = variational_factors(model, lc, kappas, mask)
     det_phi = np.prod(np.linalg.det(factors), axis=1)
     return det_phi, _trace_sides(model, lc, kappas, mask)
 

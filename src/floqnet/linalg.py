@@ -11,23 +11,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, InvalidParam, NonConvergence, \
-    NonDiagonalizable, SingularInput
+from .exceptions import NonConvergence, NonDiagonalizable, SingularInput
 
 __all__ = ["sort_spectrum"]
 
 # Condition-number threshold on the eigenvector matrix above which a
 # spectral factorization is refused instead of silently returning garbage.
 DIAGONALIZABILITY_COND_LIMIT = 1e8
-
-
-def _as_square(m):
-    a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidParam("matrix has non-finite entries")
-    return a
 
 
 def sort_spectrum(values):
@@ -42,13 +32,13 @@ def _principal_log_eig(m):
     """``(log w, V, V^-1)`` with m = V diag(w) V^-1 and log w on the
     principal branch (imaginary parts in (-pi, pi]; a negative real
     eigenvalue maps to log|lam| + i*pi), so L = (V * log w) @ V^-1 has
-    exp(L) = m.  Raises SingularInput for a zero eigenvalue and
+    exp(L) = m.  Raises NonConvergence when the eigensolver fails (a
+    non-finite entry included), SingularInput for a zero eigenvalue and
     NonDiagonalizable when the eigenvector matrix condition number exceeds
     ``DIAGONALIZABILITY_COND_LIMIT``.
     """
-    a = _as_square(m)
     try:
-        w, v = np.linalg.eig(a)
+        w, v = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigendecomposition failed: {exc}") from exc
     if np.any(np.abs(w) == 0.0):

@@ -1,9 +1,9 @@
 """Oscillator model registry.
 
-Each model bundles a named autonomous vector field with its analytic
-Jacobian, both also as batches over the rows of an (n, m) array, default
-parameters and a sensible initial condition.  Models are immutable and
-safe to share between threads.
+Each model bundles a named autonomous vector field, per state and as a
+batch over the rows of an (n, m) array, its analytic Jacobian as such a
+batch, default parameters and a sensible initial condition.  Models are
+immutable and safe to share between threads.
 
 Registered models:
 
@@ -45,9 +45,11 @@ class OscillatorModel:
     ``node_field`` maps an (n, m) array of states to their (n, m) fields
     and ``node_jacobian`` to their (n, m, m) Jacobians; the variational
     passes, the Newton search and every network right-hand side run on
-    them, and ``field`` drives the scout and search legs.  The two forms
-    must agree, so a :func:`dataclasses.replace` that swaps ``field`` or
-    ``jacobian`` must swap its batch form as well.
+    them, and ``field`` drives the scout and search legs.  The two field
+    forms must agree, so a :func:`dataclasses.replace` that swaps
+    ``field`` must swap ``node_field`` as well.  ``jacobian`` is the row
+    view ``node_jacobian(x[None])[0]`` of the batch form the model was
+    built with; nothing in the package calls it.
     """
 
     name: str
@@ -68,6 +70,17 @@ class OscillatorModel:
         object.__setattr__(self, "default_initial", x0)
 
 
+def _model(name, params, field, node_field, node_jacobian, initial):
+    """An :class:`OscillatorModel` whose ``jacobian`` is the row view of
+    ``node_jacobian``."""
+    return OscillatorModel(
+        name=name, dim=len(initial), params=params, field=field,
+        jacobian=lambda x: node_jacobian(x[None])[0],
+        default_initial=np.array(initial, dtype=float),
+        node_field=node_field, node_jacobian=node_jacobian,
+    )
+
+
 def vdp_model(mu: float = 1.0) -> OscillatorModel:
     """Van der Pol oscillator with finite damping parameter ``mu > 0``."""
     if not 0 < mu < math.inf:
@@ -77,13 +90,6 @@ def vdp_model(mu: float = 1.0) -> OscillatorModel:
     def f(x):
         x1, x2 = x.tolist()
         return np.array([x2, mu * (1.0 - _pow(x1, 2)) * x2 - x1])
-
-    def jac(x):
-        x1, x2 = x.tolist()
-        return np.array([
-            [0.0, 1.0],
-            [-2.0 * mu * x1 * x2 - 1.0, mu * (1.0 - _pow(x1, 2))],
-        ])
 
     def node_f(xs):
         x1, x2 = xs[:, 0], xs[:, 1]
@@ -100,11 +106,7 @@ def vdp_model(mu: float = 1.0) -> OscillatorModel:
         out[:, 1, 1] = mu * (1.0 - x1 ** 2)
         return out
 
-    return OscillatorModel(
-        name="vdp", dim=2, params={"mu": mu}, field=f, jacobian=jac,
-        default_initial=np.array([2.0, 0.0]),
-        node_field=node_f, node_jacobian=node_jac,
-    )
+    return _model("vdp", {"mu": mu}, f, node_f, node_jac, [2.0, 0.0])
 
 
 def _pow(a, b):
@@ -165,21 +167,6 @@ def repressilator_model(alpha: float = 1000.0, alpha0: float = 1.0,
             out[2 * j + 1] = -beta * (p - m)
         return out
 
-    def jac(x):
-        x = x.tolist()
-        J = np.zeros((6, 6))
-        for j in range(3):
-            p_rep = max(x[rep_idx[j]], 0.0)
-            J[2 * j, 2 * j] = -1.0
-            # d/dp of alpha/(1+p^n) = -alpha*n*p^(n-1) / (1+p^n)^2
-            J[2 * j, rep_idx[j]] = (
-                -alpha * n * _pow(p_rep, n - 1.0)
-                / _pow(1.0 + _pow(p_rep, n), 2)
-            )
-            J[2 * j + 1, 2 * j] = beta
-            J[2 * j + 1, 2 * j + 1] = -beta
-        return J
-
     # The batch forms: mRNAs sit in the even columns, proteins in the odd,
     # and the repressor of the mRNA in column 2j is column rep_idx[j].
     rep = np.array(rep_idx)
@@ -204,17 +191,15 @@ def repressilator_model(alpha: float = 1000.0, alpha0: float = 1.0,
     def node_jac(xs):
         p_rep = np.maximum(xs.take(rep, axis=1), 0.0)
         out = np.repeat(jac_const[None], len(xs), axis=0)
+        # d/dp of alpha/(1+p^n) = -alpha*n*p^(n-1) / (1+p^n)^2
         out.reshape(len(xs), 36)[:, hill_entries] = (
             -alpha * n * p_rep ** (n - 1.0) / (1.0 + p_rep ** n) ** 2)
         return out
 
-    return OscillatorModel(
-        name="repressilator", dim=6,
-        params={"alpha": alpha, "alpha0": alpha0, "beta": beta, "n": n},
-        field=f, jacobian=jac,
-        default_initial=np.array([0.0, 1.0, 0.0, 3.0, 0.0, 5.0]),
-        node_field=node_f, node_jacobian=node_jac,
-    )
+    return _model(
+        "repressilator",
+        {"alpha": alpha, "alpha0": alpha0, "beta": beta, "n": n},
+        f, node_f, node_jac, [0.0, 1.0, 0.0, 3.0, 0.0, 5.0])
 
 
 def linear_rotation_model() -> OscillatorModel:
@@ -226,9 +211,6 @@ def linear_rotation_model() -> OscillatorModel:
 
     jac_const = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-    def jac(x):
-        return jac_const.copy()
-
     def node_f(xs):
         out = np.empty_like(xs)
         out[:, 0] = xs[:, 1]
@@ -238,11 +220,7 @@ def linear_rotation_model() -> OscillatorModel:
     def node_jac(xs):
         return np.repeat(jac_const[None], len(xs), axis=0)
 
-    return OscillatorModel(
-        name="linear_rotation", dim=2, params={}, field=f, jacobian=jac,
-        default_initial=np.array([1.0, 0.0]),
-        node_field=node_f, node_jacobian=node_jac,
-    )
+    return _model("linear_rotation", {}, f, node_f, node_jac, [1.0, 0.0])
 
 
 _BUILDERS = {

@@ -113,14 +113,14 @@ def _point(kappa: float, multipliers) -> MsfPoint:
 
 
 def msf_point(model: OscillatorModel, lc: LimitCycle, kappa: float,
-              mask=None, cfg: IntegratorConfig | None = None) -> MsfPoint:
+              mask=None) -> MsfPoint:
     """One MSF sample at effective coupling ``kappa``.
 
     ``kappa`` is normally >= 0 (the curve's domain); negative values are
     accepted, as the predicate's pass accepts them at K < 0.  This is the
     single-kappa integrated reference for :func:`_points`.
     """
-    mon = monodromy(model, lc, kappa=kappa, mask=mask, cfg=cfg)
+    mon = monodromy(model, lc, kappa=kappa, mask=mask)
     return _point(mon.kappa, mon.multipliers)
 
 
@@ -150,8 +150,7 @@ def msf_sweep(model: OscillatorModel, lc: LimitCycle, mask, kappa_grid,
 
 
 def sync_predicate(model: OscillatorModel, lc: LimitCycle, graph: GraphSpec,
-                   K: float, mask=None,
-                   cfg: IntegratorConfig | None = None) -> SyncVerdict:
+                   K: float, mask=None) -> SyncVerdict:
     """Spectral synchronization verdict for a coupled network.
 
     Evaluates the MSF at kappa = K*lambda_i for every transverse eigenmode
@@ -181,7 +180,7 @@ def sync_predicate(model: OscillatorModel, lc: LimitCycle, graph: GraphSpec,
     first = [i == 0 or not math.isclose(kap, kappas[i - 1],
                                         rel_tol=KAPPA_EQUAL_RTOL)
              for i, kap in enumerate(kappas)]
-    points = _points(model, lc, kappas[first], mask, cfg)
+    points = _points(model, lc, kappas[first], mask, None)
     mu = np.array([p.mu_max for p in points])[np.cumsum(first) - 1]
     synchronizes = bool(K != 0.0 and mask.any() and np.all(mu[1:] < 1.0))
     return SyncVerdict(K=K, synchronizes=synchronizes,

@@ -185,8 +185,6 @@ def sync_error(times, states, n: int, m: int) -> SyncSeries:
     (n_points, n*m): per time, the largest |x_ic - x_jc| over node pairs
     and coordinates."""
     states = np.asarray(states, dtype=float)
-    if states.ndim == 1:
-        states = states[None, :]
     if states.shape[1] != n * m:
         raise DimensionMismatch(
             f"state width {states.shape[1]} != n*m = {n * m}"
@@ -208,9 +206,13 @@ def simulate_network(model: OscillatorModel, graph: GraphSpec,
     filled as each phase integrates, so memory follows the grid.
 
     ``cfg`` defaults to :data:`SIMULATE_INTEGRATOR`.  Integrator failures
-    propagate; in particular a K < 0 run is expected to end in
-    :class:`~floqnet.exceptions.Blowup`, which callers probing instability
-    should catch.
+    propagate, and a K < 0 run ends in one, but not always the same one:
+    the anti-coupled vdp network stiffens and exhausts its step budget
+    (``StepBudgetExceeded``) long before its norm reaches 1e12, while the
+    repressilator at K = -3 ends in ``Blowup``.  Callers probing
+    instability catch ``Blowup``, ``StepFailure`` and
+    ``StepBudgetExceeded``, as :func:`floqnet.checks.negative_coupling`
+    does.
     """
     cfg = cfg or SIMULATE_INTEGRATOR
     n, m = graph.n, model.dim

@@ -1,13 +1,18 @@
 """Guard for the names the benchmark tracer wraps: ``perfbench/tracing.py``
 looks floqnet's public functions up by name, so deleting or renaming one
 breaks the benchmark.  The tracer must install on this checkout and
-restore every reference it patched."""
+restore every reference it patched, and a traced model must compute what
+the model does."""
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import floqnet
 import floqnet.cli  # noqa: F401  (the tracer patches the CLI module too)
+from floqnet.models import MODEL_NAMES, get_model
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -42,3 +47,19 @@ def test_tracer_installs_and_restores_every_name():
     for name, namespace in before.items():
         assert all(after[name][attr] is value
                    for attr, value in namespace.items()), name
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_traced_model_returns_what_the_model_does(name):
+    # The tracer swaps a model's per-state field and Jacobian through
+    # dataclasses.replace; the batch forms must come through untouched.
+    model = get_model(name)
+    tracer = load_tracing().Tracer()
+    traced = tracer.model(model)
+    x = model.default_initial
+    assert np.array_equal(traced.field(x), model.field(x))
+    assert np.array_equal(traced.jacobian(x), model.jacobian(x))
+    assert traced.node_field is model.node_field
+    assert traced.node_jacobian is model.node_jacobian
+    assert tracer.counts["models.field_calls"] == 1
+    assert tracer.counts["models.jacobian_calls"] == 1
