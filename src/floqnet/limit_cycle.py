@@ -6,8 +6,9 @@ settle leg, to pick a Poincare section (:func:`_section`) through the
 coordinate with the largest swing (robust when some states barely move,
 e.g. repressilator mRNAs), and seed the period and 16 segment starts
 from the last two upward section crossings, located on the scout's
-stored steps by :meth:`floqnet.ode.Trajectory.crossing` (a cycle slower
-than the scout runs on in legs of the same length until two are in).
+stored steps by :meth:`floqnet.ode.Trajectory.crossings`, the crossing
+scan of :func:`floqnet.ode.integrate_with_events` (a cycle slower than
+the scout runs on in legs of the same length until two are in).
 Multiple-shooting Newton then solves for the starts x_s and the period
 T: the residuals are the gaps phi_{T/16}(x_s) - x_{s+1}, taken
 cyclically, and the phase condition that x_0 lies on the section.  Its
@@ -30,7 +31,7 @@ import numpy as np
 from .exceptions import DimensionMismatch, FixedPointConvergence, \
     NoCrossings, NotPeriodic
 from .models import OscillatorModel
-from .ode import IntegratorConfig, _final_state, _upward_steps, integrate
+from .ode import IntegratorConfig, _final_state, integrate
 
 __all__ = ["LimitCycle", "find_limit_cycle"]
 
@@ -136,16 +137,13 @@ def _first_guess(f, scout, coord, level, relaxed):
     def section(x):
         return x[coord] - level
 
-    def upward(traj):
-        return _upward_steps(traj.states[:, coord] - level)
-
-    found = [scout.crossing(i, section) for i in upward(scout)[-2:]]
+    found = scout.crossings(section)[-2:]
     leg = scout
     while len(found) < 2 and leg.times[-1] < _SEARCH_END:
         t = leg.times[-1]
         leg = integrate(f, leg.states[-1], (t, t + _SCOUT_WINDOW), relaxed)
         _check_swing(np.ptp(leg.states, axis=0).max(), "search leg")
-        found += [leg.crossing(i, section) for i in upward(leg)]
+        found += leg.crossings(section)
     if not found:
         raise NoCrossings(
             f"section x[{coord}]={level:.6g} never crossed upward within "
@@ -192,9 +190,7 @@ def _newton(model, x, period, coord, level, cfg, tight):
         step = np.linalg.lstsq(jac, -residual, rcond=_RCOND)[0]
         x = x + step[:n].reshape(p, m)
         period += step[n]
-        if np.ptp(x, axis=0).max() < _MIN_AMPLITUDE:
-            raise FixedPointConvergence(
-                "shooting segment starts collapsed onto one point")
+        _check_swing(np.ptp(x, axis=0).max(), "shooting segment starts")
         if not period > 0.0:
             raise NotPeriodic(f"shooting Newton reached period {period:.3g}")
         if (np.linalg.norm(step[:n]) <= _STEP_TOL * np.linalg.norm(x)
@@ -232,9 +228,8 @@ def find_limit_cycle(model: OscillatorModel, x0=None,
     cfg = cfg or IntegratorConfig()
     f = model.field
     # The scout and search legs only need to seed Newton.
-    relaxed = IntegratorConfig(rel_tol=max(cfg.rel_tol, 1e-7),
-                               abs_tol=max(cfg.abs_tol, 1e-9),
-                               max_steps=cfg.max_steps)
+    relaxed = replace(cfg, rel_tol=max(cfg.rel_tol, 1e-7),
+                      abs_tol=max(cfg.abs_tol, 1e-9))
     tight = replace(cfg, rel_tol=cfg.rel_tol / 100, abs_tol=cfg.abs_tol / 100)
 
     x = np.asarray(model.default_initial if x0 is None else x0, dtype=float)

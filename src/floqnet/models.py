@@ -20,6 +20,7 @@ Registered models:
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -233,12 +234,17 @@ MODEL_NAMES = tuple(sorted(_BUILDERS))
 
 
 def get_model(name: str, params: dict | None = None) -> OscillatorModel:
-    """Build a registered model by name with parameter overrides."""
+    """Build a registered model by name with real (not bool) overrides."""
     if name not in _BUILDERS:
         raise InvalidParam(
             f"unknown model {name!r}; known models: {', '.join(MODEL_NAMES)}"
         )
+    params = params or {}
+    for key, val in params.items():
+        if isinstance(val, bool) or not isinstance(val, numbers.Real):
+            raise InvalidParam(
+                f"model parameter {key!r} must be a real number, got {val!r}")
     try:
-        return _BUILDERS[name](**(params or {}))
+        return _BUILDERS[name](**params)
     except TypeError as exc:
         raise InvalidParam(f"bad parameters for model {name!r}: {exc}") from exc

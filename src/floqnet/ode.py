@@ -8,9 +8,10 @@ trial is rejected unless its error norm is <= 1 (NaN included); one factor
 shrinks a rejected step and grows an accepted one, and a non-finite trial
 halves it.  The step ending within round-off of t1 ends on t1.
 
-Upward zero-crossings of an event function are located on a stored
-:class:`Trajectory`: a sign change between two nodes marks the step, and
-bisection on that step's dense polynomial refines the time.
+Upward zero-crossings of an event function, for every caller, are found
+by :meth:`Trajectory.crossings` on stored steps: a sign change between
+two nodes marks the step, and bisection on that step's dense polynomial
+refines the time.
 
 The solver handles autonomous vector fields only (``field(x) -> dx/dt``),
 which is all this package needs; time-dependence such as coupling
@@ -145,18 +146,17 @@ class Trajectory:
         out[exact] = self.states[idx[exact]]
         return out[0] if t_arr.ndim == 0 else out
 
-    def crossing(self, i, event):
-        """``(t, state)`` of the upward zero of ``event`` on step ``i``,
-        whose node values go from < 0 to >= 0 (see :func:`_upward_steps`),
-        bisected on the step's dense polynomial."""
-        t = _refine_crossing(event, self._coeffs(i), self.times[i],
-                             self.times[i + 1] - self.times[i])
-        return t, self.eval(t)
-
-
-def _upward_steps(g):
-    """Indices of the steps whose node values ``g`` go from < 0 to >= 0."""
-    return np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))
+    def crossings(self, event):
+        """``(t, state)`` of every upward zero of ``event``: each step whose
+        node values go from < 0 to >= 0, bisected on its dense
+        polynomial."""
+        g = np.array([float(event(x)) for x in self.states])
+        out = []
+        for i in np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0)):
+            t = _refine_crossing(event, self._coeffs(i), self.times[i],
+                                 self.times[i + 1] - self.times[i])
+            out.append((t, self.eval(t)))
+        return out
 
 
 def _rms(v):
@@ -368,17 +368,16 @@ def integrate_with_events(field, x0, t_span, cfg=None, event=None):
     """Like :func:`integrate`, also locating upward zero-crossings of
     ``event(x)``.
 
-    Returns ``(trajectory, crossings)`` where crossings is a list of
-    ``(time, state)`` from :meth:`Trajectory.crossing` on every step whose
-    event value passes from negative to non-negative.
+    Returns ``(trajectory, trajectory.crossings(event))``: a list of
+    ``(time, state)``, one per step whose event value passes from negative
+    to non-negative (:meth:`Trajectory.crossings`).
     """
     if event is None:
         raise InvalidParam("event function required")
     if np.ndim(x0) != 1:
         raise DimensionMismatch("events need a 1-D state vector x0")
     traj = integrate(field, x0, t_span, cfg)
-    g = np.array([float(event(x)) for x in traj.states])
-    return traj, [traj.crossing(i, event) for i in _upward_steps(g)]
+    return traj, traj.crossings(event)
 
 
 def _final_state(field, x0, t_span, cfg):

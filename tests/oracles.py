@@ -115,7 +115,7 @@ def section_crossings(steps, event):
     """Yield the upward zero-crossings ``(time, state)`` of ``event`` along
     a stream of 1-D integrator steps ``(t, h, y, y_new, k)``, building dense
     coefficients only where one lies: the streamed crossing finder that
-    :meth:`floqnet.ode.Trajectory.crossing` replaced, the oracle for
+    :meth:`floqnet.ode.Trajectory.crossings` replaced, the oracle for
     :func:`floqnet.ode.integrate_with_events`."""
     g_hi = None
     for t, h, y, y_new, k in steps:

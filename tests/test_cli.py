@@ -110,6 +110,22 @@ def test_bad_input_is_config_error(argv, message, tmp_path, monkeypatch,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("model", [
+    {"name": "vdp", "params": {"mu": True}},
+    {"name": "repressilator", "params": {"n": True}},
+], ids=["vdp-mu-true", "repressilator-n-true"])
+def test_bool_model_param_is_config_error(model, tmp_path, monkeypatch,
+                                          capsys):
+    # Refused, as ``--param mu=true`` is; never run as a parameter of 1.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({"model": model}))
+    assert run_subcommand(["limit-cycle", "--config", "c.json"]) == 2
+    err = capsys.readouterr().err
+    key = next(iter(model["params"]))
+    assert "config error" in err and f"'{key}'" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
 @pytest.mark.parametrize("argv", [
     ["floquet", "--model", "vdp", "--mask", "0,1,1"],
     ["floquet", "--model", "vdp", "--mask", "0,2"],

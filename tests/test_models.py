@@ -27,6 +27,8 @@ _BOXES = {
     "repressilator": (np.full(6, 0.5), np.full(6, 80.0)),
     "linear_rotation": (np.array([-1.5, -1.5]), np.array([1.5, 1.5])),
 }
+# A fixed seed per model, so every run checks the same states.
+_SEEDS = {"vdp": 0, "repressilator": 1, "linear_rotation": 2}
 
 
 class TestVdp:
@@ -223,7 +225,7 @@ class TestJacobianConsistency:
     def test_matches_finite_differences(self, name):
         model = get_model(name)
         lo, hi = _BOXES[name]
-        rng = np.random.default_rng(hash(name) % 2 ** 32)
+        rng = np.random.default_rng(_SEEDS[name])
         xs = lo + (hi - lo) * rng.random((100, model.dim))
         for x, analytic in zip(xs, model.node_jacobian(xs)):
             numeric = central_diff_jacobian(model.field, x)
@@ -289,3 +291,18 @@ class TestRegistry:
     def test_unknown_param(self):
         with pytest.raises(InvalidParam):
             get_model("vdp", {"sigma": 10.0})
+
+    @pytest.mark.parametrize("name,key,value", [
+        ("vdp", "mu", True),
+        ("repressilator", "n", True),
+        ("repressilator", "alpha", False),
+        ("vdp", "mu", "2"),
+        ("vdp", "mu", None),
+        ("vdp", "mu", 1 + 0j),
+    ], ids=["vdp-mu-true", "repressilator-n-true", "repressilator-alpha-false",
+            "string", "none", "complex"])
+    def test_non_real_param_is_refused(self, name, key, value):
+        # A bool is an int to Python; vdp would run at mu = 1 and the
+        # repressilator at n = 1.
+        with pytest.raises(InvalidParam, match=f"'{key}'"):
+            get_model(name, {key: value})

@@ -398,6 +398,21 @@ class TestEvents:
             assert abs(t_c - t_s) <= 1e-13 * max(abs(t_s), 1.0)
             assert np.abs(x_c - x_s).max() <= 1e-13 * scale
 
+    def test_node_on_section_counts_once(self):
+        # The section passes exactly through a stored node k where x2
+        # rises: g is 0 at k, so the step into k (g < 0 to g >= 0) holds
+        # the one crossing and the step out of it (0 to > 0) none.
+        traj = integrate(harmonic, [1.0, 0.0], (0.0, 2 * np.pi))
+        k = int(np.argmin(np.abs(traj.times - np.pi)))
+        assert traj.states[k - 1, 1] < traj.states[k, 1] \
+            < traj.states[k + 1, 1]
+        level = traj.states[k, 1]
+        crossings = traj.crossings(lambda x: x[1] - level)
+        assert len(crossings) == 1
+        t_c, x_c = crossings[0]
+        assert traj.times[k - 1] <= t_c <= traj.times[k]
+        assert abs(x_c[1] - level) < 1e-10
+
     def test_requires_event(self):
         with pytest.raises(InvalidParam):
             integrate_with_events(harmonic, [1.0, 0.0], (0.0, 1.0))
