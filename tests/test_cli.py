@@ -88,6 +88,8 @@ class TestLimitCycleCommand:
       "--points", "3"], "finite and >= 0"),
     (["msf", "--model", "vdp", "--kappa-min", "0.5", "--points", "3"],
      "needs kappa_max"),
+    (["msf", "--model", "vdp", "--mask", "0,0", "--kappa-min", "0",
+      "--kappa-max", "1", "--points", "3"], "at least one 1"),
     (["limit-cycle", "--model", "repressilator", "--param", "alpha=inf"],
      "finite alpha > 0"),
     (["limit-cycle", "--model", "vdp", "--rel-tol", "inf"],
@@ -99,6 +101,7 @@ class TestLimitCycleCommand:
      "is not a number"),
 ], ids=["x0-not-a-number", "x0-wrong-length", "msf-no-points",
         "msf-decreasing-grid", "msf-negative-kappa", "msf-missing-key",
+        "msf-mask-without-a-one",
         "infinite-param", "infinite-rel-tol", "infinite-abs-tol",
         "param-without-equals", "param-not-a-number"])
 def test_bad_input_is_config_error(argv, message, tmp_path, monkeypatch,

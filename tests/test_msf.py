@@ -1,5 +1,7 @@
 """Tests for master-stability-function evaluation, sweeps, and the
 network synchronization predicate."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import floqnet.msf
 from floqnet.exceptions import DisconnectedGraph, InvalidParam
 from floqnet.floquet import _cyclic_multipliers, monodromy, \
     shifted_multipliers_fullstate, variational_factors
+from floqnet.limit_cycle import _SEGMENTS
 from floqnet.msf import _point, default_kappa_grid, msf_point, msf_sweep, \
     sync_predicate
 from floqnet.network import complete_graph, from_adjacency, ring_graph
@@ -47,6 +50,13 @@ def _count_variational_passes(monkeypatch):
 
     monkeypatch.setattr(floqnet.msf, "variational_factors", counted)
     return calls
+
+
+def _block(model):
+    """Kappas per partial-mask variational pass, from the module
+    constant: 12 for the repressilator, 85 for vdp."""
+    m = model.dim
+    return max(1, floqnet.msf._BATCH_ELEMENTS // (_SEGMENTS * m * (m + 1)))
 
 
 def _path_graph(n):
@@ -110,6 +120,16 @@ class TestMsfSweep:
         assert np.all(curve.mu_max < 1.0)
         assert np.all(np.diff(curve.mu_max) < 0.0)
 
+    def test_mask_without_a_one_is_invalid(self, vdp, vdp_cycle,
+                                           monkeypatch):
+        # DH = 0: kappa would change nothing, and the neutral multiplier
+        # would read as stable by round-off.
+        calls = _count_monodromies(monkeypatch)
+        passes = _count_variational_passes(monkeypatch)
+        with pytest.raises(InvalidParam, match="at least one 1"):
+            msf_sweep(vdp, vdp_cycle, [0, 0], [0.0, 0.5, 1.0])
+        assert calls == [] and passes == []
+
     def test_grid_validation(self, vdp, vdp_cycle):
         with pytest.raises(InvalidParam):
             msf_sweep(vdp, vdp_cycle, None, [])
@@ -133,6 +153,69 @@ class TestMsfSweep:
         for point in curve.points:
             expected = msf_point(model, lc, point.kappa, mask=mask).mu_max
             assert point.mu_max == pytest.approx(expected, rel=1e-8)
+
+
+class TestBlockedPartialPass:
+    """A partial mask integrates its kappas in consecutive blocks of at
+    most ``msf._BATCH_ELEMENTS`` state elements, so the pass's arrays do
+    not grow with the grid."""
+
+    @pytest.mark.parametrize("name, cycle, mask", [
+        ("vdp", "vdp_cycle", [0, 1]),
+        ("repressilator", "rep_cycle", [0, 1, 0, 1, 0, 1]),
+    ], ids=["vdp", "repressilator"])
+    def test_sweep_memory_does_not_grow_with_grid(
+            self, request, monkeypatch, name, cycle, mask):
+        model = request.getfixturevalue(name)
+        lc = request.getfixturevalue(cycle)
+        block = _block(model)
+        calls = _count_variational_passes(monkeypatch)
+
+        def peak(points):
+            grid = np.geomspace(0.01, 10.0, points)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                msf_sweep(model, lc, mask, grid)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        one, four = peak(block), peak(4 * block)
+        # Measured 1.07 (repressilator) and 1.13 (vdp); 3.8-4.0 when the
+        # whole grid was one batch.
+        assert four <= 1.25 * one
+        assert [len(kappas) for kappas in calls] == [block] * 5
+
+    @pytest.mark.parametrize("name, cycle, mask", [
+        ("vdp", "vdp_cycle", [0, 1]),
+        ("repressilator", "rep_cycle", [0, 1, 0, 1, 0, 1]),
+    ], ids=["vdp", "repressilator"])
+    def test_one_block_grid_is_one_pass_bitwise(self, request, name, cycle,
+                                                mask):
+        model = request.getfixturevalue(name)
+        lc = request.getfixturevalue(cycle)
+        grid = np.geomspace(0.01, 10.0, _block(model))
+        curve = msf_sweep(model, lc, mask, grid)
+        factors = variational_factors(model, lc, grid, mask)
+        for point, segment_factors in zip(curve.points, factors):
+            assert np.array_equal(point.multipliers,
+                                  _cyclic_multipliers(segment_factors))
+
+    def test_multi_block_predicate_matches_msf_point(
+            self, repressilator, rep_cycle, monkeypatch):
+        # ring_graph(40) has 21 distinct eigenvalues: two blocks of the
+        # repressilator's 12 kappas.
+        mask = [0, 1, 0, 1, 0, 1]
+        block = _block(repressilator)
+        calls = _count_variational_passes(monkeypatch)
+        verdict = sync_predicate(repressilator, rep_cycle, ring_graph(40),
+                                 0.5, mask=mask)
+        assert [len(kappas) for kappas in calls] == [block, 21 - block]
+        for lam, mu in zip(verdict.lambdas, verdict.mu_max):
+            expected = msf_point(repressilator, rep_cycle, 0.5 * lam,
+                                 mask=mask).mu_max
+            assert mu == pytest.approx(expected, rel=1e-8)
 
 
 class TestSyncPredicate:
